@@ -25,11 +25,12 @@ Record stream layout (one JSON object per line, sorted keys)::
     {"kind": "resume", ...}           # appended when a recovery reopens
     {"kind": "run_end", ...}          # fsync'd: final outputs + status
 
-Durability policy: ``header``, ``commit``, ``attempt_end``, ``resume``
-and ``run_end`` records are flushed *and fsync'd* before the writer
-returns (these are the records recovery depends on); everything else is
-flushed to the OS but not forced to stable storage — a torn tail of
-marker records degrades crash-point coverage, never correctness.
+Durability policy: :data:`SYNC_KINDS` records are flushed *and
+fsync'd* before the writer returns (these are the records recovery
+depends on); everything else is flushed to the OS but not forced to
+stable storage — a torn tail of marker records degrades crash-point
+coverage, never correctness.  :class:`Journal` is the repo's one
+durable-log primitive: the service ledger subclasses it.
 
 The header is schema-versioned and tied to the run: it embeds the seed,
 the full :class:`~repro.common.config.SystemConfig`, the script text
@@ -51,6 +52,11 @@ import json
 import os
 from typing import IO, Callable
 
+from repro.common.atomic_io import (
+    fsync_directory,
+    parse_jsonl,
+    truncate_torn_tail,
+)
 from repro.common.config import (
     ClusterBFTConfig,
     ClusterConfig,
@@ -207,28 +213,28 @@ def config_from_json(data: dict) -> SystemConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fsync_directory(path: str) -> None:
-    """Force a directory entry to stable storage (no-op where the
-    platform cannot fsync directories, e.g. Windows)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class Journal:
-    """Append-only write-ahead journal for one assured run.
+    """Append-only JSONL write-ahead log — the one durable-log primitive.
+
+    A journal describes one assured run.  The service ledger
+    (:class:`repro.service.ledger.MultiplexedLedger`) is a journal whose
+    records carry a ``run`` tag; it overrides the class constants below,
+    its header and its resume, and shares everything else: the seq
+    chain, the fsync policy, torn-tail repair and the reader.
 
     ``crash_hook`` — chaos seam: called with each record *after* it is
     durable; raising :class:`ControlTierCrash` (or sending SIGKILL)
     models the control tier dying at exactly that decision point.
     ``tracer`` — when bound (and enabled), every append also lands a
-    ``journal.append`` event in the telemetry trace.
+    :attr:`TRACE_EVENT` event in the telemetry trace.
     """
+
+    #: Record kinds fsync'd before an append returns.
+    SYNC_KINDS: frozenset[str] = SYNC_KINDS
+    ERROR: type[ReproError] = JournalError
+    #: What the log calls itself in error messages and warnings.
+    NAME = "journal"
+    TRACE_EVENT = "journal.append"
 
     def __init__(
         self,
@@ -243,12 +249,25 @@ class Journal:
         self.crash_hook = crash_hook
         self._tracer = None
         self.run_started = False
-        #: Bytes of torn tail :meth:`reopen` truncated before appending
-        #: (0 for a fresh or clean journal).  Callers surface this in the
-        #: audit log — dropped crash damage is evidence, not noise.
+        #: Bytes of torn tail a reopen truncated before appending (0 for
+        #: a fresh or clean log).  Callers surface this in the audit log
+        #: — dropped crash damage is evidence, not noise.
         self.torn_bytes_truncated = 0
 
     # -- construction ---------------------------------------------------
+
+    @classmethod
+    def _start(cls, path: str, crash_hook, exists_hint: str):
+        """Open a fresh log file, refusing an existing path — one log
+        describes one execution, and silently truncating a prior one
+        would destroy its recovery state.  The parent directory is
+        fsync'd so the new file's entry survives a host crash too."""
+        try:
+            handle = open(path, "x")
+        except FileExistsError:
+            raise cls.ERROR(f"{cls.NAME} {path} already exists — {exists_hint}")
+        fsync_directory(os.path.dirname(os.path.abspath(path)))
+        return cls(path, handle, next_seq=0, crash_hook=crash_hook)
 
     @classmethod
     def create(
@@ -260,21 +279,13 @@ class Journal:
         block_bytes: int = 1 << 20,
         crash_hook: Callable[[dict], None] | None = None,
     ) -> "Journal":
-        """Start a fresh journal: writes (and fsyncs) the header.
-
-        Refuses an existing path — one WAL describes one run, and
-        silently truncating a prior run's journal would destroy its
-        recovery state.  The parent directory is fsync'd so the new
-        file's directory entry survives a host crash too.
-        """
-        try:
-            handle = open(path, "x")
-        except FileExistsError:
-            raise JournalError(
-                f"journal {path} already exists — one WAL describes one "
-                "run; resume it with `repro resume` or pass a fresh path"
-            )
-        journal = cls(path, handle, next_seq=0, crash_hook=crash_hook)
+        """Start a fresh journal: writes (and fsyncs) the header."""
+        journal = cls._start(
+            path,
+            crash_hook,
+            "one WAL describes one run; resume it with `repro resume` or "
+            "pass a fresh path",
+        )
         journal.append(
             HEADER,
             schema=SCHEMA_VERSION,
@@ -288,7 +299,6 @@ class Journal:
                 for dfs_path, records in sorted(inputs.items())
             },
         )
-        _fsync_directory(os.path.dirname(os.path.abspath(path)))
         return journal
 
     @classmethod
@@ -298,26 +308,11 @@ class Journal:
         next_seq: int,
         crash_hook: Callable[[dict], None] | None = None,
     ) -> "Journal":
-        """Reopen an existing journal for appending (recovery path).
-
-        A crash mid-append can tear the final line (``read_journal``
-        tolerates and drops it); truncate that partial line *before*
-        appending, or the resume record would be concatenated onto it,
-        turning expected crash damage into mid-file corruption that
-        poisons every later read.  Records are newline-terminated, so
-        everything after the last newline is the torn tail.
-        """
-        torn_bytes = 0
-        with open(path, "rb+") as raw:
-            data = raw.read()
-            keep = data.rfind(b"\n") + 1
-            if keep < len(data):
-                torn_bytes = len(data) - keep
-                raw.truncate(keep)
-                raw.flush()
-                os.fsync(raw.fileno())
-        handle = open(path, "a")
-        journal = cls(path, handle, next_seq=next_seq, crash_hook=crash_hook)
+        """Reopen an existing journal for appending (recovery path),
+        truncating a torn final line first (see
+        :func:`~repro.common.atomic_io.truncate_torn_tail`)."""
+        torn_bytes = truncate_torn_tail(path)
+        journal = cls(path, open(path, "a"), next_seq, crash_hook=crash_hook)
         journal.torn_bytes_truncated = torn_bytes
         return journal
 
@@ -338,21 +333,29 @@ class Journal:
     def append(self, kind: str, **fields) -> dict:
         """Write one record; returns it (with ``seq`` stamped).
 
-        Records of :data:`SYNC_KINDS` are fsync'd before returning; all
+        Records of :attr:`SYNC_KINDS` are fsync'd before returning; all
         others are flushed to the OS only.  The crash hook fires after
         durability, i.e. the record survives the crash it triggers.
         """
-        if self._handle is None:
-            raise JournalError(f"journal {self.path} is closed")
         record = {"kind": kind, "seq": self._seq}
         record.update(fields)
+        return self._write(record, json.dumps(record, sort_keys=True))
+
+    def _write(self, record: dict, line: str, **trace_fields) -> dict:
+        if self._handle is None:
+            raise self.ERROR(f"{self.NAME} {self.path} is closed")
         self._seq += 1
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.write(line + "\n")
         self._handle.flush()
-        if kind in SYNC_KINDS:
+        if record["kind"] in self.SYNC_KINDS:
             os.fsync(self._handle.fileno())
         if self._tracer is not None:
-            self._tracer.event("journal.append", kind=kind, seq=record["seq"])
+            self._tracer.event(
+                self.TRACE_EVENT,
+                kind=record["kind"],
+                seq=record["seq"],
+                **trace_fields,
+            )
         if self.crash_hook is not None:
             self.crash_hook(record)
         return record
@@ -364,10 +367,33 @@ class Journal:
             self._handle.close()
             self._handle = None
 
+    # -- reader ---------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# reader
-# ---------------------------------------------------------------------------
+    @classmethod
+    def read_log(cls, path: str) -> tuple[list[str], list[dict], tuple | None]:
+        """Read a log back: its non-blank lines, the records they parse
+        to, and the torn final line if any (see
+        :func:`~repro.common.atomic_io.parse_jsonl`).
+
+        Raises on an unreadable, empty or corrupt file and on a gap in
+        the seq chain — lost durable records are corruption, not crash
+        damage.  The header is the caller's to check.
+        """
+        try:
+            with open(path) as handle:
+                lines = [line for line in handle.read().splitlines() if line.strip()]
+        except OSError as exc:
+            raise cls.ERROR(f"cannot read {cls.NAME}: {exc}")
+        records, torn = parse_jsonl(lines, cls.ERROR, cls.NAME)
+        if not records:
+            raise cls.ERROR(f"{cls.NAME} {path} is empty")
+        for index, record in enumerate(records):
+            if record.get("seq") != index:
+                raise cls.ERROR(
+                    f"{cls.NAME} seq gap at record {index}: expected {index}, "
+                    f"got {record.get('seq')!r} ({record.get('kind')})"
+                )
+        return lines, records, torn
 
 
 def read_journal(path: str) -> tuple[list[dict], list[str]]:
@@ -375,32 +401,11 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
 
     Returns ``(records, warnings)``.  A run killed mid-append can leave
     a cut-off final line — that is expected crash damage, reported as a
-    warning and dropped.  A parse error *before* the final line means
-    the file is corrupt, not truncated, and raises.  The header is
-    validated (schema version, script hash) before anything else is
+    warning and dropped; anything else malformed raises.  The header
+    (schema version, script hash) is validated before anything else is
     trusted.
     """
-    try:
-        with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise JournalError(f"cannot read journal: {exc}")
-    records: list[dict] = []
-    warnings: list[str] = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            if index == len(lines) - 1:
-                warnings.append(
-                    f"journal tail truncated: dropped record {index} ({exc})"
-                )
-                break
-            raise JournalError(
-                f"journal corrupt at record {index} (not the tail): {exc}"
-            )
-    if not records:
-        raise JournalError(f"journal {path} is empty")
+    _, records, torn = Journal.read_log(path)
     header = records[0]
     if header.get("kind") != HEADER:
         raise JournalError(f"journal {path} does not start with a header")
@@ -416,14 +421,10 @@ def read_journal(path: str) -> tuple[list[dict], list[str]]:
             f"journal header script hash mismatch: recorded {recorded}, "
             f"script hashes to {actual} — header tampered or corrupt"
         )
-    expected_seq = 0
-    for record in records:
-        if record.get("seq") != expected_seq:
-            raise JournalError(
-                f"journal seq gap: expected {expected_seq}, "
-                f"got {record.get('seq')} ({record.get('kind')})"
-            )
-        expected_seq += 1
+    warnings = []
+    if torn is not None:
+        index, _, exc = torn
+        warnings.append(f"journal tail truncated: dropped record {index} ({exc})")
     return records, warnings
 
 

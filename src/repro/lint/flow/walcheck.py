@@ -5,6 +5,10 @@ The journal (``repro.core.journal``) and the service ledger
 typed records (``Journal.append(wal.COMMIT, target=..., ...)``), the
 other side *replays* them after a crash (``resume_run`` in
 ``core/recovery.py``, prefix verification in ``service/ledger.py``).
+The ledger subclasses ``Journal`` — one log primitive — but each
+module keeps its own kind table, so each is its own kind surface: its
+``create`` appends its header and its reader checks it.  The shared
+plumbing in ``common/atomic_io.py`` defines no kinds.
 The PR 5/6 bugs that reached review — the resume verdict flip, the torn
 tail mishandling — were exactly mismatches between the two sides.  This
 pass cross-checks them statically:

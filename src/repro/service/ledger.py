@@ -2,30 +2,18 @@
 
 The single-run :class:`~repro.core.journal.Journal` is a one-WAL-one-
 run contract.  The service multiplexes many concurrent runs, so their
-journal streams interleave into one append-only ledger file — same
-JSONL/sorted-keys layout, same value codecs, one *global* sequence
-number, each run-scoped record tagged with its run id::
-
-    {"kind": "header", "schema": "repro.ledger/v1", "seq": 0,
-     "trace": "...", "trace_sha256": "..."}
-    {"kind": "admit",  "seq": 1, "run": "script0001", "tenant": "alice"}
-    {"kind": "run_start", "seq": 2, "run": "script0001", ...}
-    {"kind": "digest", "seq": 7, "run": "script0002", ...}   # interleaved
-    ...
-    {"kind": "service_end", "seq": N, ...}
-
-Durability policy mirrors the journal: ``header``, ``commit``,
-``attempt_end``, ``run_end`` and ``service_end`` records are fsync'd
-before the writer returns; marker records are flushed only.
+journal streams interleave into one ledger — a journal with one
+*global* sequence number whose run-scoped records carry a ``run`` tag,
+and whose ``repro.ledger/v1`` header embeds the whole service trace.
 
 Crash-resume is **deterministic replay with prefix verification**,
-not state reconstruction: the header embeds the full trace (and seed),
-the whole service is a pure function of it, so a resume re-executes
-the trace from t=0 with the ledger in *verify* mode — every record the
-replay would append is byte-compared against the durable prefix (after
-truncating the torn tail, whose byte count is surfaced, never silently
-dropped), and appending resumes past the prefix.  The resumed ledger
-is byte-identical to the uninterrupted run's by construction — and the
+not state reconstruction: the whole service is a pure function of the
+embedded trace (and seed), so a resume re-executes the trace from t=0
+with the ledger in *verify* mode — every record the replay would
+append is byte-compared against the durable prefix (after truncating
+the torn tail, whose byte count is surfaced, never silently dropped),
+and appending resumes past the prefix.  The resumed ledger is
+byte-identical to the uninterrupted run's by construction — and the
 verification is strictly stronger than trusting the prefix.
 """
 
@@ -33,9 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import IO, Callable
 
+from repro.common.atomic_io import truncate_torn_tail
 from repro.common.errors import ReproError
 from repro.core import journal as wal
 
@@ -71,17 +59,6 @@ def _trace_sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fsync_directory(path: str) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class LedgerStream:
     """Journal-compatible adapter for one run's slice of the ledger.
 
@@ -114,59 +91,48 @@ class LedgerStream:
         self.closed = True
 
 
-class MultiplexedLedger:
+class MultiplexedLedger(wal.Journal):
     """Append-only, run-id-tagged, durable service ledger."""
+
+    SYNC_KINDS = SYNC_KINDS
+    ERROR = LedgerError
+    NAME = "ledger"
+    TRACE_EVENT = "ledger.append"
 
     def __init__(
         self,
         path: str,
-        handle: IO[str] | None,
+        handle: IO[str],
         next_seq: int,
         crash_hook: Callable[[dict], None] | None = None,
         expected_lines: list[str] | None = None,
     ) -> None:
-        self.path = path
-        self._handle = handle
-        self._seq = next_seq
-        self.crash_hook = crash_hook
-        self._tracer = None
+        super().__init__(path, handle, next_seq, crash_hook=crash_hook)
         #: Durable prefix a resume must reproduce byte-for-byte before
         #: any genuinely new record is appended (None = fresh ledger).
         self._expected_lines = expected_lines
-        #: Bytes of torn tail :meth:`resume` truncated (crash damage —
-        #: surfaced by the service in its audit log, never dropped
-        #: silently).
-        self.torn_bytes_truncated = 0
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def create(
+    def create(  # type: ignore[override]  # built from a trace, not a run
         cls,
         path: str,
         trace_text: str,
         crash_hook: Callable[[dict], None] | None = None,
     ) -> "MultiplexedLedger":
-        """Start a fresh ledger: write (and fsync) the header.
-
-        Refuses an existing path — one ledger describes one service
-        execution; resume it with ``repro serve --resume`` instead.
-        """
-        try:
-            handle = open(path, "x")
-        except FileExistsError:
-            raise LedgerError(
-                f"ledger {path} already exists — resume it with "
-                "`repro serve --resume` or pass a fresh path"
-            )
-        ledger = cls(path, handle, next_seq=0, crash_hook=crash_hook)
+        """Start a fresh ledger: write (and fsync) the header."""
+        ledger = cls._start(
+            path,
+            crash_hook,
+            "resume it with `repro serve --resume` or pass a fresh path",
+        )
         ledger.append(
             HEADER,
             schema=SCHEMA_VERSION,
             trace=trace_text,
             trace_sha256=_trace_sha256(trace_text),
         )
-        _fsync_directory(os.path.dirname(os.path.abspath(path)))
         return ledger
 
     @classmethod
@@ -178,43 +144,18 @@ class MultiplexedLedger:
         """Reopen a crashed service's ledger in verify-then-append mode.
 
         Truncates the torn tail (recording how many bytes were cut),
-        then arms the ledger with the surviving lines: replayed appends
-        are verified against them in order, and writing resumes only
-        past the durable prefix.
+        validates what survived like :func:`read_ledger`, then arms the
+        ledger with the surviving lines: replayed appends are verified
+        against them in order, and writing resumes only past the
+        durable prefix.
         """
-        torn_bytes = 0
-        with open(path, "rb+") as raw:
-            data = raw.read()
-            keep = data.rfind(b"\n") + 1
-            if keep < len(data):
-                torn_bytes = len(data) - keep
-                raw.truncate(keep)
-                raw.flush()
-                os.fsync(raw.fileno())
-        with open(path) as text_handle:
-            lines = [
-                line for line in text_handle.read().splitlines() if line.strip()
-            ]
-        if not lines:
-            raise LedgerError(f"ledger {path} is empty")
-        header = json.loads(lines[0])
-        if header.get("kind") != HEADER or header.get("schema") != SCHEMA_VERSION:
-            raise LedgerError(
-                f"ledger {path} does not start with a {SCHEMA_VERSION} header"
-            )
-        recorded = header.get("trace_sha256")
-        if recorded != _trace_sha256(header.get("trace", "")):
-            raise LedgerError(
-                f"ledger {path} header trace hash mismatch — the embedded "
-                "trace was altered; refusing to replay it"
-            )
-        handle = open(path, "a")
-        # The header was verified above (kind, schema, trace hash), so
-        # the replay is armed just past it: the run's first re-append
-        # is compared against durable line 1, and so on.
+        torn_bytes = truncate_torn_tail(path)
+        lines, _, _ = _read_ledger(path)
+        # The header is verified, so the replay is armed just past it:
+        # the run's first re-append is compared against durable line 1.
         ledger = cls(
             path,
-            handle,
+            open(path, "a"),
             next_seq=1,
             crash_hook=crash_hook,
             expected_lines=lines,
@@ -223,17 +164,6 @@ class MultiplexedLedger:
         return ledger
 
     # -- plumbing -------------------------------------------------------
-
-    def bind_tracer(self, tracer) -> None:
-        self._tracer = tracer if getattr(tracer, "enabled", False) else None
-
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
-
-    @property
-    def last_seq(self) -> int:
-        return self._seq - 1
 
     @property
     def verifying(self) -> bool:
@@ -255,8 +185,6 @@ class MultiplexedLedger:
         return LedgerStream(self, run_id)
 
     def append(self, kind: str, run: str | None = None, **fields) -> dict:
-        if self._handle is None:
-            raise LedgerError("ledger is closed")
         record = {"kind": kind, "seq": self._seq}
         if run is not None:
             record["run"] = run
@@ -274,67 +202,26 @@ class MultiplexedLedger:
             # re-firing the crash hook — the record is not a new append).
             self._seq += 1
             return record
-        self._seq += 1
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        if kind in SYNC_KINDS:
-            os.fsync(self._handle.fileno())
-        if self._tracer is not None:
-            self._tracer.event(
-                "ledger.append", kind=kind, seq=record["seq"], run=run or ""
-            )
-        if self.crash_hook is not None:
-            self.crash_hook(record)
-        return record
-
-    def verified_prefix_len(self) -> int:
-        """Records of the durable prefix the replay has confirmed."""
-        if self._expected_lines is None:
-            return 0
-        return min(self._seq, len(self._expected_lines))
+        return self._write(record, line, run=run or "")
 
     def durable_prefix_len(self) -> int:
         """Records that survived the crash (the prefix a resume must
         reproduce before any new record is written; 0 when fresh)."""
         return len(self._expected_lines) if self._expected_lines else 0
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
-
 
 def read_ledger(path: str) -> tuple[list[dict], list[str]]:
     """Read a ledger back, tolerating (and reporting) a torn tail.
 
-    Returns ``(records, warnings)``; validates the header and the
-    global seq chain — a gap means lost durable records, which is
-    corruption, not crash damage.
+    Returns ``(records, warnings)``; validates the header (schema,
+    trace hash) and the global seq chain.
     """
-    try:
-        with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise LedgerError(f"cannot read ledger: {exc}")
-    records: list[dict] = []
-    warnings: list[str] = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            if index == len(lines) - 1:
-                warnings.append(
-                    f"ledger tail truncated: dropped record {index} "
-                    f"({len(line.encode())} byte(s): {exc})"
-                )
-                break
-            raise LedgerError(
-                f"ledger corrupt at record {index} (not the tail): {exc}"
-            )
-    if not records:
-        raise LedgerError(f"ledger {path} is empty")
+    _, records, warnings = _read_ledger(path)
+    return records, warnings
+
+
+def _read_ledger(path: str) -> tuple[list[str], list[dict], list[str]]:
+    lines, records, torn = MultiplexedLedger.read_log(path)
     header = records[0]
     if header.get("kind") != HEADER:
         raise LedgerError(f"ledger {path} does not start with a header")
@@ -343,9 +230,16 @@ def read_ledger(path: str) -> tuple[list[dict], list[str]]:
             f"unsupported ledger schema {header.get('schema')!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    for index, record in enumerate(records):
-        if record.get("seq") != index:
-            raise LedgerError(
-                f"ledger seq gap at record {index}: got {record.get('seq')!r}"
-            )
-    return records, warnings
+    if header.get("trace_sha256") != _trace_sha256(header.get("trace", "")):
+        raise LedgerError(
+            f"ledger {path} header trace hash mismatch — the embedded "
+            "trace was altered; refusing to replay it"
+        )
+    warnings = []
+    if torn is not None:
+        index, line, exc = torn
+        warnings.append(
+            f"ledger tail truncated: dropped record {index} "
+            f"({len(line.encode())} byte(s): {exc})"
+        )
+    return lines, records, warnings

@@ -300,12 +300,6 @@ class SimNetwork:
         for receiver in sorted(receivers):
             self.send(sender, receiver, message, size_bytes)
 
-    def send_sync(self, sender: str, receiver: str, message: Any) -> None:
-        """Immediate delivery (no event-loop hop) — only for test setup."""
-        handler = self._handlers.get(receiver)
-        if handler is None:
-            raise SimulationError(f"unknown endpoint: {receiver}")
-        handler(sender, message)
 
 
 def partition(groups: list[set[str]]) -> NetworkFilter:

@@ -75,12 +75,6 @@ class CommitChain:
     complete: bool = False  # reaches a parentless root span
     missing: list[int] = field(default_factory=list)  # dangling parent ids
 
-    @property
-    def critical_link_seconds(self) -> float:
-        return max(
-            (hop.duration for hop in self.hops if hop.kind == "message"),
-            default=0.0,
-        )
 
 
 @dataclass(frozen=True)

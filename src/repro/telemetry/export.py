@@ -19,6 +19,8 @@ import json
 import os
 from typing import IO, Iterable
 
+from repro.common.atomic_io import parse_jsonl
+
 #: Span/event attributes that select a Chrome track, in priority order.
 _TRACK_ATTRS = ("node", "replica_id", "track")
 
@@ -108,27 +110,22 @@ def read_jsonl_lenient(
     analysis tools, return every parseable record plus human-readable
     warnings describing what is missing.  A parse error anywhere *other*
     than the tail still raises — that is a corrupt file, not a
-    truncated one.
+    truncated one, and so is a line that is not a JSON object; both
+    raise :class:`ValueError`.
     """
     if isinstance(path_or_file, str):
         with open(path_or_file) as handle:
             lines = handle.readlines()
     else:
         lines = path_or_file.readlines()
-    lines = [line for line in lines if line.strip()]
+    records, torn = parse_jsonl(lines, ValueError, "trace")
     warnings: list[str] = []
-    records: list[dict] = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            if index == len(lines) - 1:
-                warnings.append(
-                    f"trace truncated: dropped unparseable final line "
-                    f"(record {index + 1}): {exc}"
-                )
-                break
-            raise
+    if torn is not None:
+        index, _, exc = torn
+        warnings.append(
+            f"trace truncated: dropped unparseable final line "
+            f"(record {index + 1}): {exc}"
+        )
     if not records:
         warnings.append("trace is empty (no records)")
     elif not any(r.get("type") == "metric" for r in records):

@@ -7,6 +7,13 @@ import pytest
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
 from repro.common.records import Record, records_from_rows
 from repro.core import journal as wal
+from repro.core.controller import ClusterBFTController
+from repro.core.recovery import resume_run
+from repro.service.bench import synth_trace
+from repro.service.ledger import LedgerError, MultiplexedLedger, read_ledger
+from repro.service.loop import ClusterBFTService
+from repro.service.tenants import parse_trace
+from repro.telemetry import Telemetry
 
 
 def small_config(seed: int = 7) -> SystemConfig:
@@ -161,71 +168,161 @@ class TestWriter:
         assert [r["seq"] for r in records] == [0, 1, 2]
 
 
-class TestReader:
-    def write_journal(self, tmp_path, extra_lines=()):
-        path = str(tmp_path / "run.wal")
-        journal = wal.Journal.create(path, small_config(), SCRIPT, INPUTS)
-        journal.append(wal.RUN_START, script_id="script0001")
-        journal.close()
-        if extra_lines:
-            with open(path, "a") as handle:
-                for line in extra_lines:
-                    handle.write(line)
-        return path
+def write_journal(tmp_path, extra_lines=()):
+    path = str(tmp_path / "run.wal")
+    journal = wal.Journal.create(path, small_config(), SCRIPT, INPUTS)
+    journal.append(wal.RUN_START, script_id="script0001")
+    journal.close()
+    return append_lines(path, extra_lines)
 
+
+def write_ledger(tmp_path, extra_lines=()):
+    path = str(tmp_path / "svc.ledger")
+    ledger = MultiplexedLedger.create(path, '{"name": "t"}')
+    ledger.append("admit", run="script0001", tenant="alice")
+    ledger.close()
+    return append_lines(path, extra_lines)
+
+
+def append_lines(path, lines):
+    with open(path, "a") as handle:
+        handle.writelines(lines)
+    return path
+
+
+def rewrite_header(path, **changes):
+    with open(path) as handle:
+        lines = handle.readlines()
+    header = json.loads(lines[0])
+    header.update(changes)
+    lines[0] = json.dumps(header, sort_keys=True) + "\n"
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+
+
+#: (writer, reader, error, resume) for each durable log: both share one
+#: reader and must fail the same way, each with its own error class.
+LOGS = [
+    pytest.param(
+        (write_journal, wal.read_journal, wal.JournalError, resume_run),
+        id="journal",
+    ),
+    pytest.param(
+        (write_ledger, read_ledger, LedgerError, MultiplexedLedger.resume),
+        id="ledger",
+    ),
+]
+
+
+class TestReader:
     def test_torn_tail_is_tolerated(self, tmp_path):
-        path = self.write_journal(
-            tmp_path, ['{"kind": "attempt_start", "se']
-        )
+        path = write_journal(tmp_path, ['{"kind": "attempt_start", "se'])
         records, warnings = wal.read_journal(path)
         assert [r["kind"] for r in records] == [wal.HEADER, wal.RUN_START]
         assert any("truncated" in w for w in warnings)
 
-    def test_corrupt_middle_raises(self, tmp_path):
-        path = self.write_journal(
-            tmp_path,
-            ['garbage not json\n', '{"kind": "attempt_start", "seq": 2}\n'],
+    @pytest.mark.parametrize("log", LOGS)
+    def test_corrupt_middle_raises(self, tmp_path, log):
+        write, read, error, _ = log
+        path = write(
+            tmp_path, ["garbage not json\n", '{"kind": "attempt_start", "seq": 2}\n']
         )
-        with pytest.raises(wal.JournalError, match="corrupt"):
-            wal.read_journal(path)
+        with pytest.raises(error, match="corrupt"):
+            read(path)
 
     def test_seq_gap_raises(self, tmp_path):
-        path = self.write_journal(
-            tmp_path, ['{"kind": "attempt_start", "seq": 5}\n']
-        )
+        path = write_journal(tmp_path, ['{"kind": "attempt_start", "seq": 5}\n'])
         with pytest.raises(wal.JournalError, match="seq gap"):
             wal.read_journal(path)
 
     def test_tampered_script_raises(self, tmp_path):
-        path = self.write_journal(tmp_path)
+        path = write_journal(tmp_path)
         with open(path) as handle:
-            lines = handle.readlines()
-        header = json.loads(lines[0])
-        header["script"] = header["script"] + "-- tampered\n"
-        lines[0] = json.dumps(header, sort_keys=True) + "\n"
-        with open(path, "w") as handle:
-            handle.writelines(lines)
+            script = json.loads(handle.readline())["script"]
+        rewrite_header(path, script=script + "-- tampered\n")
         with pytest.raises(wal.JournalError, match="hash mismatch"):
             wal.read_journal(path)
 
-    def test_wrong_schema_raises(self, tmp_path):
-        path = self.write_journal(tmp_path)
-        with open(path) as handle:
-            lines = handle.readlines()
-        header = json.loads(lines[0])
-        header["schema"] = "repro.journal/v999"
-        lines[0] = json.dumps(header, sort_keys=True) + "\n"
-        with open(path, "w") as handle:
-            handle.writelines(lines)
-        with pytest.raises(wal.JournalError, match="schema"):
-            wal.read_journal(path)
+    @pytest.mark.parametrize("log", LOGS)
+    def test_wrong_schema_raises(self, tmp_path, log):
+        write, read, error, _ = log
+        path = write(tmp_path)
+        rewrite_header(path, schema="repro.journal/v999")
+        with pytest.raises(error, match="schema"):
+            read(path)
 
-    def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.wal"
+    @pytest.mark.parametrize("log", LOGS)
+    def test_empty_file_raises(self, tmp_path, log):
+        _, read, error, _ = log
+        path = tmp_path / "empty.log"
         path.write_text("")
-        with pytest.raises(wal.JournalError, match="empty"):
-            wal.read_journal(str(path))
+        with pytest.raises(error, match="empty"):
+            read(str(path))
 
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(wal.JournalError):
-            wal.read_journal(str(tmp_path / "absent.wal"))
+    @pytest.mark.parametrize("log", LOGS)
+    def test_missing_file_raises(self, tmp_path, log):
+        _, read, error, _ = log
+        with pytest.raises(error):
+            read(str(tmp_path / "absent.log"))
+
+    @pytest.mark.parametrize("log", LOGS)
+    @pytest.mark.parametrize(
+        "header, extra",
+        [
+            ("not json\n", []),  # only line, unparseable: nothing survives
+            ("[1]\n", []),  # valid JSON, not an object
+            (None, ["[1]\n"]),  # a non-object record after a good header
+            (None, ['"s"\n', '{"kind": "x", "seq": 3}\n']),
+        ],
+        ids=["not-json-header", "list-header", "list-tail", "string-middle"],
+    )
+    def test_malformed_records_raise_the_log_error(self, tmp_path, log, header, extra):
+        # Reading and resuming a malformed log must fail with the log's
+        # own ReproError (a one-line CLI diagnostic), never a stray
+        # JSONDecodeError or AttributeError.
+        write, read, error, resume = log
+        path = write(tmp_path, extra)
+        if header is not None:
+            with open(path, "w") as handle:
+                handle.write(header)
+        with pytest.raises(error):
+            read(path)
+        with pytest.raises(error):
+            resume(path)
+
+
+class TestAppendTraceEvents:
+    """Every durable append past the header lands one trace event with
+    the record's kind and seq (the ledger's also carry the run tag)."""
+
+    def test_journaled_run_emits_one_event_per_record(self, tmp_path):
+        path = str(tmp_path / "run.wal")
+        config = small_config()
+        journal = wal.Journal.create(path, config, SCRIPT, INPUTS, block_bytes=2048)
+        telemetry = Telemetry.recording()
+        controller = ClusterBFTController(
+            config, block_bytes=2048, telemetry=telemetry, journal=journal
+        )
+        controller.load_input("in", INPUTS["in"])
+        controller.run_assured(SCRIPT)
+        records, _ = wal.read_journal(path)
+        events = telemetry.sink.events("journal.append")
+        # The header is written before the controller binds its tracer.
+        assert [(e["attrs"]["kind"], e["attrs"]["seq"]) for e in events] == [
+            (r["kind"], r["seq"]) for r in records[1:]
+        ]
+        assert len(events) > 3
+
+    def test_service_ledger_events_carry_the_run(self, tmp_path):
+        path = str(tmp_path / "svc.ledger")
+        trace = parse_trace(synth_trace(tenants=2, jobs_per_tenant=2, seed=5))
+        ledger = MultiplexedLedger.create(path, trace.text)
+        telemetry = Telemetry.recording()
+        ClusterBFTService(trace, telemetry=telemetry, ledger=ledger).run()
+        records, _ = read_ledger(path)
+        events = telemetry.sink.events("ledger.append")
+        assert [
+            (e["attrs"]["kind"], e["attrs"]["seq"], e["attrs"]["run"]) for e in events
+        ] == [(r["kind"], r["seq"], r.get("run", "")) for r in records[1:]]
+        assert any(e["attrs"]["run"] for e in events)
+        assert not telemetry.sink.events("journal.append")
