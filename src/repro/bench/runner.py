@@ -14,7 +14,9 @@ deviates beyond its tolerance in *either* direction — upward drift on a
 latency metric is a perf regression, downward drift on a fidelity metric
 (jobs completed, suspects isolated) is a correctness smell, and silent
 movement of supposedly-deterministic numbers means nondeterminism crept
-in.  Missing metrics and missing result files regress too.
+in.  Missing metrics and missing result files regress too, and so does a
+missing baseline: an ungated benchmark fails the run instead of passing
+silently.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def run_suite(
             continue
         if not os.path.exists(base_path):
             missing_baselines.append(base_path)
-            log(f"  no baseline at {base_path} (run --update-baselines)")
+            log(f"  MISSING BASELINE {base_path} (run --update-baselines)")
             continue
         with open(base_path) as handle:
             baseline = json.load(handle)
@@ -189,10 +191,11 @@ def run_suite(
             all_regressions.extend(regressions)
         else:
             log(f"  ok vs {base_path}")
+    if missing_baselines:
+        log(f"{len(missing_baselines)} benchmark(s) without a baseline")
     if all_regressions:
         log(
             f"{len(all_regressions)} metric regression(s) across "
             f"{len({r.benchmark for r in all_regressions})} benchmark(s)"
         )
-        return 1
-    return 0
+    return 1 if missing_baselines or all_regressions else 0

@@ -10,12 +10,20 @@ AVG is implemented as sum-then-divide, not a moving average: the paper
 (§5.4) notes that moving averages break replica determinism in the last
 bits of floating-point precision.  ``TRUNC(x, k)`` is provided for the
 paper's other workaround (truncating decimals before arithmetic).
+
+Every node has two forms.  ``evaluate`` walks the tree per record and
+is the semantic oracle (the local interpreter uses it).  ``bind(schema)``
+lowers the tree once into a closure ``record -> value`` with field
+references already resolved to indices; the MapReduce runtime calls it
+once per task and then applies the closure to every record.  Both forms
+must agree on every record, including nulls and errors.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import SchemaError
 from repro.common.records import Record
@@ -28,6 +36,11 @@ class Expr:
 
     def evaluate(self, record: Record, schema: Schema) -> Any:
         raise NotImplementedError
+
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        """Lower this tree to a closure equivalent to ``evaluate`` under
+        ``schema``.  The default walks the tree; nodes override it."""
+        return lambda record: self.evaluate(record, schema)
 
     def output_type(self, schema: Schema) -> str:
         """Static result type under ``schema`` (loose; ANY when unknown)."""
@@ -48,6 +61,10 @@ class Literal(Expr):
 
     def evaluate(self, record: Record, schema: Schema) -> Any:
         return self.value
+
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        value = self.value
+        return lambda record: value
 
     def output_type(self, schema: Schema) -> str:
         if isinstance(self.value, bool):
@@ -75,6 +92,15 @@ class FieldRef(Expr):
 
     def evaluate(self, record: Record, schema: Schema) -> Any:
         return record[schema.index_of(self.name)]
+
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        try:
+            index = schema.index_of(self.name)
+        except SchemaError:
+            # Unresolvable: fail per record, exactly as ``evaluate`` does
+            # (an empty input must still run cleanly).
+            return super().bind(schema)
+        return lambda record: record.fields[index]
 
     def output_type(self, schema: Schema) -> str:
         return schema.type_of(self.name)
@@ -117,6 +143,24 @@ class BagProject(Expr):
                 )
         return tuple(out)
 
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        try:
+            inner_schema = _bag_schema(self.bag, schema)
+            index = inner_schema.index_of(self.field) if inner_schema else None
+        except SchemaError:
+            index = None
+        if index is None:
+            return super().bind(schema)
+        bag = self.bag.bind(schema)
+
+        def project(record: Record) -> Any:
+            bag_value = bag(record)
+            if bag_value is None:
+                return ()
+            return tuple([item[index] for item in bag_value])
+
+        return project
+
     def output_type(self, schema: Schema) -> str:
         return sc.BAG
 
@@ -136,20 +180,33 @@ def _bag_schema(bag_expr: Expr, schema: Schema) -> Schema | None:
 
 
 _COMPARISONS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
+
+def _null_on_zero_division(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """Pig semantics: ``x / 0`` and ``x % 0`` are null, not an error."""
+
+    def guarded(left: Any, right: Any) -> Any:
+        try:
+            return fn(left, right)
+        except ZeroDivisionError:
+            return None
+
+    return guarded
+
+
 _ARITHMETIC = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _null_on_zero_division(operator.truediv),
+    "%": _null_on_zero_division(operator.mod),
 }
 
 
@@ -179,6 +236,28 @@ class BinOp(Expr):
                 return None
             return _ARITHMETIC[self.op](left, right)
         raise SchemaError(f"unknown operator: {self.op!r}")
+
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        left = self.left.bind(schema)
+        right = self.right.bind(schema)
+        if self.op == "and":
+            return lambda record: bool(left(record)) and bool(right(record))
+        if self.op == "or":
+            return lambda record: bool(left(record)) or bool(right(record))
+        if self.op not in _COMPARISONS and self.op not in _ARITHMETIC:
+            return super().bind(schema)
+        fn = _COMPARISONS.get(self.op) or _ARITHMETIC[self.op]
+        # A null operand makes a comparison false and arithmetic null.
+        if_null = False if self.op in _COMPARISONS else None
+
+        def apply(record: Record) -> Any:
+            a = left(record)
+            b = right(record)
+            if a is None or b is None:
+                return if_null
+            return fn(a, b)
+
+        return apply
 
     def output_type(self, schema: Schema) -> str:
         if self.op in _COMPARISONS or self.op in ("and", "or"):
@@ -211,6 +290,19 @@ class UnaryOp(Expr):
             return None if value is None else -value
         raise SchemaError(f"unknown unary operator: {self.op!r}")
 
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        operand = self.operand.bind(schema)
+        if self.op == "not":
+            return lambda record: not operand(record)
+        if self.op == "neg":
+
+            def negate(record: Record) -> Any:
+                value = operand(record)
+                return None if value is None else -value
+
+            return negate
+        return super().bind(schema)
+
     def output_type(self, schema: Schema) -> str:
         if self.op == "not":
             return sc.BOOLEAN
@@ -230,6 +322,12 @@ class IsNull(Expr):
     def evaluate(self, record: Record, schema: Schema) -> Any:
         is_null = self.operand.evaluate(record, schema) is None
         return not is_null if self.negate else is_null
+
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        operand = self.operand.bind(schema)
+        if self.negate:
+            return lambda record: operand(record) is not None
+        return lambda record: operand(record) is None
 
     def output_type(self, schema: Schema) -> str:
         return sc.BOOLEAN
@@ -358,6 +456,11 @@ class FuncCall(Expr):
         fn, _, _ = FUNCTIONS[self.name.upper()]
         values = [arg.evaluate(record, schema) for arg in self.args]
         return fn(values)
+
+    def bind(self, schema: Schema) -> Callable[[Record], Any]:
+        fn, _, _ = FUNCTIONS[self.name.upper()]
+        args = [arg.bind(schema) for arg in self.args]
+        return lambda record: fn([arg(record) for arg in args])
 
     def output_type(self, schema: Schema) -> str:
         _, type_tag, _ = FUNCTIONS[self.name.upper()]

@@ -10,6 +10,12 @@ Operators are *descriptions*: they carry no input references (the
 * grouping semantics (``reduce_key`` / ``reduce``) for blocking
   operators, which force a MapReduce shuffle boundary.
 
+``process`` and ``reduce_key`` evaluate expressions by walking the tree
+and are the semantic oracle.  Their lowered forms, ``bind(schema)``
+(a whole-batch function) and ``bind_key(input_index, input_schemas)``,
+resolve field references once per task and are what the MapReduce
+runtime executes; they must agree with the oracle record for record.
+
 Determinism note: every blocking operator sorts the records of a key
 group by canonical encoding before producing output, implementing the
 paper's §5.4 fix ("ordering the intermediate mapper output") so replica
@@ -19,7 +25,7 @@ digests match bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import PlanError, SchemaError
 from repro.common.records import Record, encode_record
@@ -72,12 +78,24 @@ class StreamingOperator(Operator):
     def process(self, record: Record, input_schema: Schema) -> list[Record]:
         raise NotImplementedError
 
+    def bind(self, input_schema: Schema) -> Callable[[list[Record]], list[Record]]:
+        """Batch form of ``process``: records in, records out, in order."""
+        raise NotImplementedError
+
+
+def _identity(records: list[Record]) -> list[Record]:
+    return records
+
 
 class BlockingOperator(Operator):
     """Operator requiring a shuffle: key extraction + per-key reduction."""
 
     def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
         raise NotImplementedError
+
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Callable[[Record], Any]:
+        """``reduce_key`` for one input, as a per-record function."""
+        return lambda record: self.reduce_key(record, input_index, input_schemas)
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         """Produce output records for one key group.
@@ -160,6 +178,10 @@ class FilterOp(StreamingOperator):
             return [record]
         return []
 
+    def bind(self, input_schema: Schema) -> Callable[[list[Record]], list[Record]]:
+        predicate = self.predicate.bind(input_schema)
+        return lambda records: [record for record in records if predicate(record)]
+
 
 @dataclass(frozen=True)
 class Projection:
@@ -205,6 +227,12 @@ class ForeachOp(StreamingOperator):
         values = [p.expr.evaluate(record, input_schema) for p in self.projections]
         return [Record(tuple(values))]
 
+    def bind(self, input_schema: Schema) -> Callable[[list[Record]], list[Record]]:
+        exprs = [p.expr.bind(input_schema) for p in self.projections]
+        return lambda records: [
+            Record([expr(record) for expr in exprs]) for record in records
+        ]
+
 
 class VerifyOp(StreamingOperator):
     """Identity operator marking a verification point.
@@ -226,6 +254,9 @@ class VerifyOp(StreamingOperator):
 
     def process(self, record: Record, input_schema: Schema) -> list[Record]:
         return [record]
+
+    def bind(self, input_schema: Schema) -> Callable[[list[Record]], list[Record]]:
+        return _identity
 
     def describe(self) -> str:
         return f"verify[{self.vp_id}]"
@@ -254,6 +285,9 @@ class UnionOp(StreamingOperator):
     def process(self, record: Record, input_schema: Schema) -> list[Record]:
         return [record]
 
+    def bind(self, input_schema: Schema) -> Callable[[list[Record]], list[Record]]:
+        return _identity
+
 
 # ----------------------------------------------------------------------
 # blocking operators
@@ -266,6 +300,14 @@ def _key_value(exprs: list[Expr], record: Record, schema: Schema) -> Any:
     if len(exprs) == 1:
         return exprs[0].evaluate(record, schema)
     return tuple(e.evaluate(record, schema) for e in exprs)
+
+
+def _bind_key(exprs: list[Expr], schema: Schema) -> Callable[[Record], Any]:
+    """Lowered :func:`_key_value`."""
+    if len(exprs) == 1:
+        return exprs[0].bind(schema)
+    bound = [e.bind(schema) for e in exprs]
+    return lambda record: tuple([key(record) for key in bound])
 
 
 class GroupOp(BlockingOperator):
@@ -299,6 +341,9 @@ class GroupOp(BlockingOperator):
 
     def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
         return _key_value(self.key_exprs, record, input_schemas[0])
+
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Callable[[Record], Any]:
+        return _bind_key(self.key_exprs, input_schemas[0])
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         bag = tuple(canonical_sort([record for _, record in tagged]))
@@ -345,6 +390,10 @@ class JoinOp(BlockingOperator):
     def reduce_key(self, record: Record, input_index: int, input_schemas: list[Schema]) -> Any:
         exprs = self.left_keys if input_index == 0 else self.right_keys
         return _key_value(exprs, record, input_schemas[input_index])
+
+    def bind_key(self, input_index: int, input_schemas: list[Schema]) -> Callable[[Record], Any]:
+        exprs = self.left_keys if input_index == 0 else self.right_keys
+        return _bind_key(exprs, input_schemas[input_index])
 
     def reduce(self, key: Any, tagged: list[tuple[int, Record]], input_schemas: list[Schema]) -> list[Record]:
         left_rows = canonical_sort([r for tag, r in tagged if tag == 0])

@@ -45,54 +45,39 @@ class TapResult:
     bytes_hashed: int
 
 
-class _Tap:
-    """Collects the records passing a VerifyOp inside a task."""
-
-    def __init__(self, vp_id: str, chunk_records: int) -> None:
-        self.vp_id = vp_id
-        self.chunk_records = chunk_records
-        self.encodings: list[bytes] = []
-        self.records: list[Record] = []
-
-    def observe(self, record: Record) -> None:
-        self.records.append(record)
-
-    def finalize(self) -> TapResult:
-        # Sort canonically so chunk boundaries agree across replicas.
-        ordered = sorted(self.records, key=encode_record)
-        streaming = StreamingDigest(chunk_size=self.chunk_records)
-        streaming.update_all(ordered)
-        streaming.finalize()
-        bytes_hashed = sum(r.size_bytes() for r in ordered)
-        return TapResult(
-            vp_id=self.vp_id,
-            digests=streaming.all_digests(),
-            record_count=len(ordered),
-            bytes_hashed=bytes_hashed,
-        )
+def _digest_tap(op: VerifyOp, records: list[Record]) -> TapResult:
+    """Digest the records passing a VerifyOp inside a task."""
+    # Encode each record once; sort the encodings canonically so chunk
+    # boundaries agree across replicas.
+    encoded = sorted(map(encode_record, records))
+    streaming = StreamingDigest(chunk_size=op.chunk_records)
+    for encoding in encoded:
+        streaming.update_encoded(encoding)
+    streaming.finalize()
+    return TapResult(
+        vp_id=op.vp_id,
+        digests=streaming.all_digests(),
+        record_count=len(encoded),
+        bytes_hashed=sum(map(len, encoded)),
+    )
 
 
 def run_pipeline(
     records: list[Record], pipeline: list[PipelineOp]
 ) -> tuple[list[Record], list[TapResult]]:
-    """Stream ``records`` through a compiled pipeline, tapping VerifyOps."""
-    taps: dict[int, _Tap] = {}
-    for index, stage in enumerate(pipeline):
-        if isinstance(stage.op, VerifyOp):
-            taps[index] = _Tap(stage.op.vp_id, stage.op.chunk_records)
+    """Run ``records`` through a compiled pipeline, tapping VerifyOps.
 
+    Each stage is bound to its input schema once per call and applied to
+    the whole batch (see ``StreamingOperator.bind``).
+    """
+    taps: list[TapResult] = []
     current = list(records)
-    for index, stage in enumerate(pipeline):
-        if index in taps:
-            tap = taps[index]
-            for record in current:
-                tap.observe(record)
+    for stage in pipeline:
+        if isinstance(stage.op, VerifyOp):
+            taps.append(_digest_tap(stage.op, current))
             continue  # VerifyOp is identity on the stream
-        next_records: list[Record] = []
-        for record in current:
-            next_records.extend(stage.op.process(record, stage.input_schema))
-        current = next_records
-    return current, [taps[i].finalize() for i in sorted(taps)]
+        current = stage.op.bind(stage.input_schema)(current)
+    return current, taps
 
 
 @dataclass
@@ -138,16 +123,14 @@ def execute_map_task(
 
     partitions: dict[int, list[KeyedRecord]] = defaultdict(list)
     bytes_out = 0
+    key_of = spec.blocking.bind_key(branch.tag, spec.blocking_input_schemas)
     if spec.combiner is not None:
         # Map-side combining: one partial record per key instead of the
         # whole bag (COUNT/SUM/MIN/MAX are order-insensitive, so no sort
         # is needed for replica determinism).
         per_key: dict = defaultdict(list)
         for record in out_records:
-            key = spec.blocking.reduce_key(
-                record, branch.tag, spec.blocking_input_schemas
-            )
-            per_key[key].append(record)
+            per_key[key_of(record)].append(record)
         for key, group in per_key.items():
             partial = spec.combiner.initial_partial(group)
             part = partition_for(key, spec.num_reducers)
@@ -156,9 +139,7 @@ def execute_map_task(
         result.records_out = len(per_key)
     else:
         for record in out_records:
-            key = spec.blocking.reduce_key(
-                record, branch.tag, spec.blocking_input_schemas
-            )
+            key = key_of(record)
             part = partition_for(key, spec.num_reducers)
             partitions[part].append((key, branch.tag, record))
             bytes_out += record.size_bytes() + len(encode_value(key))

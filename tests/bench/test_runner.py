@@ -2,17 +2,22 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.runner import (
+    DEFAULT_BASELINE_DIR,
     SCHEMA_VERSION,
+    baseline_path,
     build_payload,
     compare_payload,
     run_suite,
     write_payload,
 )
-from repro.bench.suites import BenchSpec, metric, spec_by_name
+from repro.bench.suites import SUITES, BenchSpec, metric, spec_by_name
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def quick_spec(values=(1.0, 2.0), name="toy"):
@@ -114,10 +119,12 @@ class TestRunSuite:
         )
         return code, logs
 
-    def test_missing_baseline_is_not_a_failure(self, tmp_path):
+    def test_missing_baseline_is_a_failure(self, tmp_path):
         code, logs = self.run(tmp_path, quick_spec())
-        assert code == 0
-        assert any("no baseline" in line for line in logs)
+        assert code == 1
+        assert any("MISSING BASELINE" in line for line in logs)
+        # The result file is still written, so the baseline can be made.
+        assert (tmp_path / "results" / "BENCH_toy.json").exists()
 
     def test_update_then_compare_passes(self, tmp_path):
         assert self.run(tmp_path, quick_spec(), update=True)[0] == 0
@@ -153,6 +160,17 @@ class TestRealSuites:
         assert spec_by_name("fig12").name == "fig12"
         with pytest.raises(KeyError):
             spec_by_name("nope")
+
+    @pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+    def test_every_suite_has_a_committed_baseline(self, smoke):
+        missing = [
+            spec.name
+            for spec in SUITES
+            if not (
+                REPO_ROOT / baseline_path(spec.name, DEFAULT_BASELINE_DIR, smoke)
+            ).exists()
+        ]
+        assert missing == []
 
     def test_fig12_smoke_is_deterministic_and_trace_backed(self):
         first = spec_by_name("fig12").run(True)

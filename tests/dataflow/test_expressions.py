@@ -39,6 +39,15 @@ class TestArithmetic:
     def test_division_is_float(self):
         assert ev(ex.BinOp("/", ex.field("b"), ex.field("a"))) == pytest.approx(4 / 3)
 
+    @pytest.mark.parametrize("op", ["/", "%"])
+    @pytest.mark.parametrize("zero", [0, 0.0], ids=["int", "float"])
+    def test_division_by_zero_is_null(self, op, zero):
+        # Pig semantics: x / 0 and x % 0 yield null instead of failing.
+        expr = ex.BinOp(op, ex.field("a"), ex.lit(zero))
+        record = Record((7, 0, ""))
+        assert expr.evaluate(record, SCHEMA) is None
+        assert expr.bind(SCHEMA)(record) is None
+
     def test_null_propagates(self):
         assert ex.BinOp("+", ex.field("a"), ex.lit(None)).evaluate(
             Record((1, 2, "")), SCHEMA

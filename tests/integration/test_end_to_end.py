@@ -8,6 +8,7 @@ under no faults and under a commission-faulty node.
 import pytest
 
 from repro.common.config import ClusterBFTConfig, ClusterConfig, SystemConfig
+from repro.common.records import Record
 from repro.core.controller import ClusterBFTController
 from repro.dataflow.interpreter import interpret
 from repro.dataflow.piglatin import parse_script
@@ -99,3 +100,19 @@ class TestWorkloads:
         assured = build_controller(path, records).run_assured(script)
         overhead = assured.latency / plain.latency - 1.0
         assert overhead < 0.25, f"{name}: {overhead:.1%}"
+
+
+def test_division_by_zero_commits_null_like_interpreter():
+    """Pig semantics: x / 0 and x % 0 yield null, so a zero divisor
+    commits a null field instead of failing the run."""
+    script = """
+    A = LOAD 'in' AS (k:int, v:int);
+    B = FOREACH A GENERATE k, k / v AS q, k % v AS m;
+    STORE B INTO 'out';
+    """
+    records = [Record((6, 3)), Record((5, 0)), Record((4, None)), Record((9, 2))]
+    assured = build_controller("in", records).run_assured(script)
+    reference = interpret(parse_script(script), inputs={"in": records})
+    assert assured.assured
+    assert as_multisets(assured.outputs) == as_multisets(reference)
+    assert (5, None, None) in as_multisets(assured.outputs)["out"]

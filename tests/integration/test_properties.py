@@ -67,6 +67,17 @@ SCRIPTS = [
     S = FOREACH G GENERATE group AS k, COUNT(U) AS n;
     STORE S INTO 'out';
     """,
+    # boolean filter + arithmetic + scalar functions + multi-key group
+    """
+    A = LOAD 'in' AS (k:int, v:int);
+    B = FILTER A BY (v IS NULL OR v > -20) AND NOT (k == 3);
+    C = FOREACH B GENERATE k, k % 3 AS m, ABS(v) AS a, v * 2 - k AS w,
+        TRUNC(v / (k - 4), 1) AS t;
+    G = GROUP C BY (k, m);
+    S = FOREACH G GENERATE group AS km, COUNT(C) AS n, SUM(C.a) AS total,
+        MAX(C.w) AS hi, MAX(C.t) AS top;
+    STORE S INTO 'out';
+    """,
 ]
 
 CONFIG = SystemConfig(
