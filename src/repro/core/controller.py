@@ -27,6 +27,7 @@ covered by a verification point — see
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.common.config import SystemConfig
@@ -59,10 +60,11 @@ from repro.core.request_handler import (
 )
 from repro.core.suspicion import SuspicionTracker
 from repro.core.verifier import (
-    COMMISSION,
     FAILED,
+    OMISSION,
     TIMEOUT,
     VERIFIED,
+    ReplicaFault,
     VerificationOutcome,
     Verifier,
 )
@@ -95,15 +97,21 @@ class ScriptResult:
     #: Rerun escalation ran out of ``max_reruns`` without assurance.
     exhausted: bool = False
 
-    @property
-    def verified(self) -> bool:
-        return self.assured
-
 
 class _Attempt:
     """Book-keeping for one attempt (one replication degree)."""
 
-    def __init__(self) -> None:
+    def __init__(self, script_id: str, index: int, pending: list[int]) -> None:
+        self.script_id = script_id
+        self.index = index
+        #: job index -> sid, in submission (``pending``) order.
+        self.sids = {job: f"{script_id}.a{index}.j{job}" for job in pending}
+        self.jobs = {sid: job for job, sid in self.sids.items()}
+        #: Verdict-time settlements (checkpoint tier): sid -> what
+        #: ``_settle_sid`` returned, merged at the attempt boundary.
+        self.staged: dict[str, tuple[bool, str | None]] = {}
+        self.verifier: Verifier | None = None
+        self.span = None
         self.outcomes: dict[str, VerificationOutcome] = {}
         self.expected_verdicts: set[str] = set()
         self.plain_jobs_pending: set[tuple[int, int]] = set()
@@ -131,6 +139,85 @@ class _Attempt:
             # their own verification point (rare) must still land.
             return verdicts_in and not self.plain_final_pending
         return not self.plain_jobs_pending
+
+    def replica_path(self, replica: int, logical: str) -> str:
+        return f"__run/{self.script_id}/a{self.index}/r{replica}/{logical}"
+
+
+class _Run:
+    """Per-run context the assured phases share.
+
+    ``state`` is the durable part: the :class:`~repro.core.journal.ResumeState`
+    an ``attempt_end`` record snapshots and a resume restores (fresh for
+    a new run).  The rest lives only as long as the run.
+    """
+
+    def __init__(
+        self,
+        prepared: PreparedScript,
+        state: wal.ResumeState,
+        journal: wal.Journal | None,
+        resumed: bool,
+        start: float,
+    ) -> None:
+        graph = prepared.job_graph
+        self.prepared = prepared
+        self.cfg = prepared.config
+        self.state = state
+        self.journal = journal
+        self.resumed = resumed
+        self.start = start
+        self.span = None
+        self.order = graph.topological_order()
+        self.deps = graph.dependencies()
+        self.verifiable = {
+            i for i in self.order if job_has_verification(graph.jobs[i])
+        }
+        self.final_jobs = [
+            i for i, job in enumerate(graph.jobs) if not job.output_is_temp
+        ]
+        self.metrics = RunMetrics()
+        self.outcomes: list[VerificationOutcome] = []
+        self.runs: list[JobRun] = []
+        self.last_attempt: _Attempt | None = None
+        self.checkpointed = 0
+
+    def assured(self) -> bool:
+        """Every verifiable job VERIFIED and every final output
+        committed — vacuously false when nothing is verifiable."""
+        state = self.state
+        return (
+            bool(self.verifiable)
+            and self.verifiable <= state.verified_ok
+            and all(i in state.verified_jobs for i in self.final_jobs)
+        )
+
+    def rerun_closure(self) -> list[int]:
+        """Jobs that must run again: every verifiable job not yet
+        VERIFIED, plus (transitively) the uncommitted upstream jobs
+        feeding them.  Committed sub-graphs are reused — the paper's
+        variable-grain recomputation saving."""
+        needed = self.verifiable - self.state.verified_ok
+        frontier = sorted(needed)
+        while frontier:
+            job_index = frontier.pop()
+            for dep in self.deps[job_index]:
+                if dep not in self.state.verified_jobs and dep not in needed:
+                    needed.add(dep)
+                    frontier.append(dep)
+        return [i for i in self.order if i in needed]
+
+    def escalated_timeout(self, current: float) -> float:
+        """Next attempt's verifier timeout: doubled, clamped to the
+        configured ``max_verifier_timeout`` ceiling.  Used for both the
+        live escalation and the journaled ``next_timeout`` so a resumed
+        run restores exactly the value an uninterrupted run would have
+        used."""
+        doubled = current * 2
+        cap = self.cfg.max_verifier_timeout
+        if cap is not None and doubled > cap:
+            return cap
+        return doubled
 
 
 class _WaitWhile:
@@ -269,17 +356,34 @@ class ClusterBFTController:
     # execution modes
     # ------------------------------------------------------------------
 
-    def run_plain(self, script: str | LogicalPlan) -> ScriptResult:
-        """Baseline: unreplicated, uninstrumented run ("Pure Pig")."""
-        handler = RequestHandler(self.config.bft)
-        prepared = handler.prepare(
-            script,
-            self._input_sizes(self._to_plan(script)),
-            explicit_points=[],
-            include_output_points=False,
+    def prepare(
+        self,
+        script: str | LogicalPlan,
+        explicit_points: list[VertexId] | None = None,
+        include_output_points: bool = True,
+        replication: int | None = None,
+    ) -> PreparedScript:
+        """Request handler step (paper §4.1): parse, mark, instrument and
+        compile ``script`` against the inputs staged in this DFS.
+        ``replication`` overrides the configured degree."""
+        cfg = self.config.bft
+        if replication is not None:
+            cfg = replace(cfg, replication=replication).validate()
+        plan = self._to_plan(script)
+        return RequestHandler(cfg).prepare(
+            plan,
+            self._input_sizes(plan),
+            explicit_points=explicit_points,
+            include_output_points=include_output_points,
             compile_options=self._compile_options(),
         )
-        return self._run_unverified(prepared, replication=1)
+
+    def run_plain(self, script: str | LogicalPlan) -> ScriptResult:
+        """Baseline: unreplicated, uninstrumented run ("Pure Pig")."""
+        prepared = self.prepare(
+            script, explicit_points=[], include_output_points=False
+        )
+        return self._run_unverified(prepared, mode="plain")
 
     def run_single(
         self,
@@ -289,15 +393,8 @@ class ClusterBFTController:
     ) -> ScriptResult:
         """One replica with digest computation but no replication — the
         "Single Execution" series of paper Fig. 9/10."""
-        handler = RequestHandler(self.config.bft)
-        prepared = handler.prepare(
-            script,
-            self._input_sizes(self._to_plan(script)),
-            explicit_points=explicit_points,
-            include_output_points=include_output_points,
-            compile_options=self._compile_options(),
-        )
-        return self._run_unverified(prepared, replication=1)
+        prepared = self.prepare(script, explicit_points, include_output_points)
+        return self._run_unverified(prepared, mode="single")
 
     def run_assured(
         self,
@@ -314,16 +411,8 @@ class ClusterBFTController:
         best-effort result) instead of returning an unassured result when
         the rerun escalation runs out of ``max_reruns``.
         """
-        cfg = self.config.bft
-        if replication is not None:
-            cfg = replace(cfg, replication=replication).validate()
-        handler = RequestHandler(cfg)
-        prepared = handler.prepare(
-            script,
-            self._input_sizes(self._to_plan(script)),
-            explicit_points=explicit_points,
-            include_output_points=include_output_points,
-            compile_options=self._compile_options(),
+        prepared = self.prepare(
+            script, explicit_points, include_output_points, replication
         )
         return self._run_assured(prepared, strict=strict)
 
@@ -352,38 +441,33 @@ class ClusterBFTController:
     # unverified execution (baselines)
     # ------------------------------------------------------------------
 
-    def _run_unverified(self, prepared: PreparedScript, replication: int) -> ScriptResult:
+    def _run_unverified(self, prepared: PreparedScript, mode: str) -> ScriptResult:
+        """One unreplicated replica chain: ``mode`` is ``"plain"`` or
+        ``"single"`` (traced and metered under that label)."""
         script_id = self._next_script_id()
         start = self.loop.now
-        tracer = self.telemetry.tracer
-        run_span = tracer.begin(
+        jobs = len(prepared.job_graph.jobs)
+        run_span = self.telemetry.tracer.begin(
             "run",
             start=start,
             script_id=script_id,
-            mode="plain" if replication == 1 else "unverified",
-            replication=replication,
-            jobs=len(prepared.job_graph.jobs),
+            mode=mode,
+            replication=1,
+            jobs=jobs,
         )
         metrics = RunMetrics()
-        attempt = _Attempt()
+        attempt = _Attempt(script_id, 0, list(range(jobs)))
         self._submit_attempt(
-            prepared,
-            pending=list(range(len(prepared.job_graph.jobs))),
-            replication=replication,
-            script_id=script_id,
-            attempt_index=0,
-            verified_paths={},
-            verifier=None,
-            attempt=attempt,
+            prepared, attempt, replication=1, verified_paths={}, verifier=None
         )
         self.loop.run_while(lambda: not attempt.done())
         for run in attempt.runs:
             metrics.absorb_job(run.metrics)
-        outputs = self._publish_replica_outputs(prepared, script_id, 0, replica=0)
+        outputs = self._publish_outputs(prepared, {}, attempt)
         metrics.latency = self.loop.now - start
         run_span.end(latency=metrics.latency, assured=False)
         if self.telemetry.enabled:
-            publish_run(self.telemetry.metrics, metrics, mode="plain")
+            publish_run(self.telemetry.metrics, metrics, mode=mode)
         return ScriptResult(
             script_id=script_id,
             assured=False,
@@ -425,7 +509,8 @@ class ClusterBFTController:
         script_id: str | None = None,
         span_attrs: dict | None = None,
     ):
-        """Generator form of assured execution.
+        """Generator form of assured execution: a driver over the named
+        phases (DESIGN.md §11a).
 
         Yields a wait condition (:class:`_WaitWhile` / :class:`_WaitUntil`)
         whenever the control tier must let simulated time pass; the
@@ -438,23 +523,67 @@ class ClusterBFTController:
         the service allocate ids at admission time; ``span_attrs`` adds
         attribution (e.g. tenant) to the run span.
         """
-        cfg = prepared.config
         if journal is None:
             journal = self.journal
-        if script_id is None:
-            script_id = (
-                resume.script_id if resume is not None else self._next_script_id()
+        run = self._open_run(prepared, resume, journal, script_id, span_attrs)
+        attempts = range(run.state.start_attempt, run.cfg.max_reruns + 1)
+        if run.resumed and not run.rerun_closure():
+            # A restored snapshot may already cover the full commit set —
+            # e.g. a crash landed between the final attempt's
+            # ``attempt_end`` and ``run_end``, leaving start_attempt past
+            # max_reruns.  The restored state alone decides assurance:
+            # an empty range must never read as exhaustion.
+            run.state.reused += len(run.order)
+            attempts = range(0)
+        for index in attempts:
+            pending = self._plan_attempt(run, index)
+            if not pending:
+                break  # nothing left to run: the settled state decides
+            attempt = yield from self._run_attempt(run, index, pending)
+            self._settle_attempt(run, attempt)
+            if run.assured() or not run.verifiable:
+                # Done — or nothing to verify (outputs not instrumented):
+                # run once, publish best-effort, report unassured.
+                break
+            self._escalate(run, index)
+        return (yield from self._close_run(run, strict))
+
+    # ------------------------------------------------------------------
+    # assured phases
+    # ------------------------------------------------------------------
+
+    def _open_run(
+        self,
+        prepared: PreparedScript,
+        resume: wal.ResumeState | None,
+        journal: wal.Journal | None,
+        script_id: str | None,
+        span_attrs: dict | None,
+    ) -> _Run:
+        """Open run: allocate the run state (or adopt the restored one),
+        begin the run span, journal ``run_start`` and audit the submit."""
+        cfg = prepared.config
+        jobs = len(prepared.job_graph.jobs)
+        points = len(prepared.marked_vertices)
+        state = resume
+        if state is None:
+            state = wal.ResumeState(
+                script_id=self._next_script_id() if script_id is None else script_id,
+                start_attempt=0,
+                attempts_used=0,
+                replication=cfg.replication,
+                timeout=cfg.verifier_timeout,
             )
-        start = self.loop.now
+        run = _Run(prepared, state, journal, resume is not None, self.loop.now)
         tracer = self.telemetry.tracer
-        run_span = tracer.begin(
+        run.span = tracer.begin(
             "run",
-            start=start,
-            script_id=script_id,
+            start=run.start,
+            script_id=state.script_id,
             mode="assured",
             replication=cfg.replication,
-            jobs=len(prepared.job_graph.jobs),
-            points=len(prepared.marked_vertices),
+            jobs=jobs,
+            points=points,
             **(span_attrs or {}),
         )
         if journal is not None and resume is None:
@@ -463,466 +592,396 @@ class ClusterBFTController:
             # recovery re-prepare the exact same instrumented plan.
             journal.append(
                 wal.RUN_START,
-                script_id=script_id,
-                jobs=len(prepared.job_graph.jobs),
+                script_id=state.script_id,
+                jobs=jobs,
                 replication=cfg.replication,
-                points=len(prepared.marked_vertices),
+                points=points,
                 marked=list(prepared.marked_vertices),
                 include_output_points=prepared.include_output_points,
             )
             journal.run_started = True
         self.audit.record(
-            start,
+            run.start,
             SUBMIT,
-            script_id,
-            jobs=len(prepared.job_graph.jobs),
+            state.script_id,
+            jobs=jobs,
             replication=cfg.replication,
-            points=len(prepared.marked_vertices),
+            points=points,
             **self.audit_context,
         )
         if self.frontend is not None:
             # The submission is ordered by the replicated request handler
             # before any job starts; its consensus round is on the
             # critical path (part of the latency Fig. 14 measures).
+            request = (state.script_id, jobs)
             if self.telemetry.causal and tracer.enabled:
                 # Anchor the ordering round's Request send (and the whole
                 # pre-prepare/prepare/commit cascade behind it) to this
                 # run's root span.
-                tracer.push_context(run_span.span_id)
+                tracer.push_context(run.span.span_id)
                 try:
-                    self.frontend.call((script_id, len(prepared.job_graph.jobs)))
+                    self.frontend.call(request)
                 finally:
                     tracer.pop_context()
             else:
-                self.frontend.call((script_id, len(prepared.job_graph.jobs)))
-        graph = prepared.job_graph
-        order = graph.topological_order()
+                self.frontend.call(request)
+        return run
 
-        metrics = RunMetrics()
-        all_outcomes: list[VerificationOutcome] = []
-        all_runs: list[JobRun] = []
-        verified_jobs: set[int] = set()  # committed (output reusable)
-        verified_ok: set[int] = set()  # sid VERIFIED (maybe uncommittable)
-        verified_paths: dict[str, str] = {}
-        reused = 0
-        if resume is not None:
-            verified_jobs = set(resume.verified_jobs)
-            verified_ok = set(resume.verified_ok)
-            verified_paths = dict(resume.verified_paths)
-            reused = resume.reused
-
-        deps = graph.dependencies()
-        verifiable = {
-            i for i in order if job_has_verification(graph.jobs[i])
-        }
-        final_jobs = [i for i, job in enumerate(graph.jobs) if not job.output_is_temp]
-
-        def rerun_closure() -> list[int]:
-            """Jobs that must run again: every verifiable job not yet
-            VERIFIED, plus (transitively) the uncommitted upstream jobs
-            feeding them.  Committed sub-graphs are reused — the paper's
-            variable-grain recomputation saving."""
-            needed = set(verifiable) - verified_ok
-            frontier = sorted(needed)
-            while frontier:
-                job_index = frontier.pop()
-                for dep in deps[job_index]:
-                    if dep not in verified_jobs and dep not in needed:
-                        needed.add(dep)
-                        frontier.append(dep)
-            return [i for i in order if i in needed]
-
-        replication = cfg.replication
-        timeout = cfg.verifier_timeout
-        attempts_used = 0
-        start_attempt = 0
-        if resume is not None:
-            replication = resume.replication
-            timeout = resume.timeout
-            attempts_used = resume.attempts_used
-            start_attempt = resume.start_attempt
-        assured = False
-        last_attempt: _Attempt | None = None
-        checkpointed = 0
-
-        def escalated_timeout(current: float) -> float:
-            """Next attempt's verifier timeout: doubled, clamped to the
-            configured ``max_verifier_timeout`` ceiling.  Used for both
-            the live escalation and the journaled ``next_timeout`` so a
-            resumed run restores exactly the value an uninterrupted run
-            would have used."""
-            doubled = current * 2
-            cap = cfg.max_verifier_timeout
-            if cap is not None and doubled > cap:
-                return cap
-            return doubled
-
-        # A restored snapshot may already cover the full commit set —
-        # e.g. a crash landed between the final attempt's ``attempt_end``
-        # and ``run_end``, leaving start_attempt past max_reruns and the
-        # rerun range below empty.  Assurance of a fully-settled snapshot
-        # is decided by the restored state alone, so evaluate it *before*
-        # the loop: an empty range must never read as exhaustion.
-        settled_on_resume = resume is not None and not rerun_closure()
-        if settled_on_resume:
-            reused += len(order)
-            if verifiable:
-                assured = (
-                    all(i in verified_jobs for i in final_jobs)
-                    and verifiable <= verified_ok
-                )
-        rerun_range = (
-            range(0)
-            if settled_on_resume
-            else range(start_attempt, cfg.max_reruns + 1)
-        )
-        for attempt_index in rerun_range:
-            attempts_used += 1
-            if attempt_index == start_attempt and resume is None:
-                pending = list(order)
-            else:
-                # Resumed first attempts also take the closure path:
-                # commits replayed from the journal are reused, never
-                # re-executed.
-                pending = rerun_closure()
-                reused += len(order) - len(pending)
-                if attempt_index > 0:
-                    metrics.reruns += 1
-                    self.audit.record(
-                        self.loop.now,
-                        RERUN,
-                        script_id,
-                        attempt=attempt_index,
-                        replication=replication,
-                        jobs_rerun=len(pending),
-                        jobs_reused=len(order) - len(pending),
-                        **self.audit_context,
-                    )
-            if not pending:
-                # Nothing left to run — e.g. a resume whose journal
-                # already captured the full commit set.  Assurance holds
-                # iff the restored state covers every output.
-                if verifiable:
-                    assured = (
-                        all(i in verified_jobs for i in final_jobs)
-                        and verifiable <= verified_ok
-                    )
-                break
-            if journal is not None:
-                journal.append(
-                    wal.ATTEMPT_START,
-                    script_id=script_id,
-                    attempt=attempt_index,
-                    replication=replication,
-                    timeout=timeout,
-                    jobs=list(pending),
-                )
-            attempt = _Attempt()
-            last_attempt = attempt
-            attempt_span = tracer.begin(
-                "attempt",
-                parent=run_span,
-                start=self.loop.now,
-                script_id=script_id,
-                attempt=attempt_index,
-                replication=replication,
-                timeout=timeout,
-                jobs=len(pending),
+    def _plan_attempt(self, run: _Run, index: int) -> list[int]:
+        """Plan attempt: the jobs attempt ``index`` must execute — all of
+        them on a fresh run's first attempt, else the rerun closure
+        (committed sub-graphs are reused)."""
+        state = run.state
+        state.attempts_used += 1
+        if index == 0 and not run.resumed:
+            return list(run.order)
+        # Resumed first attempts also take the closure path: commits
+        # replayed from the journal are reused, never re-executed.
+        pending = run.rerun_closure()
+        reused = len(run.order) - len(pending)
+        state.reused += reused
+        if index > 0:
+            run.metrics.reruns += 1
+            self.audit.record(
+                self.loop.now,
+                RERUN,
+                state.script_id,
+                attempt=index,
+                replication=state.replication,
+                jobs_rerun=len(pending),
+                jobs_reused=reused,
+                **self.audit_context,
             )
-            sid_jobs = {
-                sid: job_index
-                for job_index, sid in self._sids(
-                    prepared, pending, script_id, attempt_index
-                )
-            }
-            #: Sids settled eagerly at verdict time (checkpoint tier):
-            #: their WAL/audit records and DFS copies already happened;
-            #: the attempt-boundary loop merges the staged state instead
-            #: of re-journaling.
-            settled_sids: set[str] = set()
-            staged_ok: set[int] = set()
-            staged_commits: dict[int, tuple[str, str]] = {}
+        return pending
 
-            def on_verdict(
-                outcome,
-                a=attempt,
-                index=attempt_index,
-                sids=sid_jobs,
-                settled=settled_sids,
-                ok=staged_ok,
-                commits=staged_commits,
+    def _run_attempt(self, run: _Run, index: int, pending: list[int]):
+        """Run attempt: journal ``attempt_start``, submit the replica
+        chains, wait for the verdicts (settling each one at verdict time
+        on the checkpoint tier) and return the finished attempt."""
+        state = run.state
+        tracer = self.telemetry.tracer
+        if run.journal is not None:
+            run.journal.append(
+                wal.ATTEMPT_START,
+                script_id=state.script_id,
+                attempt=index,
+                replication=state.replication,
+                timeout=state.timeout,
+                jobs=list(pending),
+            )
+        attempt = run.last_attempt = _Attempt(state.script_id, index, pending)
+        attempt.span = tracer.begin(
+            "attempt",
+            parent=run.span,
+            start=self.loop.now,
+            script_id=state.script_id,
+            attempt=index,
+            replication=state.replication,
+            timeout=state.timeout,
+            jobs=len(pending),
+        )
+        span_parent = attempt.span.span_id if tracer.enabled else None
+
+        def on_verdict(outcome: VerificationOutcome) -> None:
+            attempt.outcomes[outcome.sid] = outcome
+            if run.cfg.checkpoints and outcome.status == VERIFIED:
+                # Verdict-time commit: a crash mid-attempt then resumes
+                # from the last verified sub-graph.  TIMEOUT/FAILED sids
+                # produce no commit, so they wait for the boundary.
+                attempt.staged[outcome.sid] = self._settle_sid(
+                    run, attempt, outcome, checkpoint=True
+                )
+
+        attempt.verifier = verifier = Verifier(
+            self.loop,
+            run.cfg.f,
+            self.config.cost,
+            state.timeout,
+            on_verdict=on_verdict,
+            on_late_fault=lambda sid, fault: self._on_late_fault(
+                sid, fault, run.journal
+            ),
+            telemetry=self.telemetry,
+            span_parent=span_parent,
+        )
+        self._submit_attempt(
+            run.prepared,
+            attempt,
+            replication=state.replication,
+            verified_paths=state.verified_paths,
+            verifier=verifier,
+            journal=run.journal,
+            span_parent=span_parent,
+        )
+        # Global fail-safe: if stalled unverified jobs never finish,
+        # end the attempt once every verification deadline has passed.
+        self.loop.schedule(
+            state.timeout + 4 * self.config.cost.digest_network_seconds,
+            lambda: setattr(attempt, "force_end", True),
+            label=f"attempt-deadline:{state.script_id}:{index}",
+        )
+        yield _WaitWhile(lambda: not attempt.done())
+        # The force-end deadline can beat a verdict's delivery event;
+        # pull any internally-decided outcomes so reruns see them.
+        for sid in sorted(attempt.expected_verdicts - set(attempt.outcomes)):
+            decided = verifier.outcome(sid)
+            if decided is not None:
+                attempt.outcomes[sid] = decided
+        for job_run in attempt.runs:
+            outcome = attempt.outcomes.get(job_run.sid)
+            sid_verified = outcome is not None and outcome.status == VERIFIED
+            if job_run.state != "done" and (
+                not sid_verified or job_run.has_omitted_task()
             ):
-                self._on_verdict(a, outcome)
-                if cfg.checkpoints:
-                    self._checkpoint_verdict(
-                        prepared,
-                        a,
-                        outcome,
-                        script_id,
-                        index,
-                        sids,
-                        settled,
-                        ok,
-                        commits,
-                        journal,
-                    )
+                # Cancel runs that can never verify; keep the late
+                # replicas of verified sids running — their digests
+                # still feed offline fault attribution.
+                self.engine.cancel(job_run)
+        run.runs.extend(attempt.runs)
+        run.metrics.verification_comparisons += verifier.total_comparisons
+        return attempt
 
-            verifier = Verifier(
-                self.loop,
-                cfg.f,
-                self.config.cost,
-                timeout,
-                on_verdict=on_verdict,
-                on_late_fault=lambda sid, fault, j=journal: self._on_late_fault(
-                    sid, fault, journal=j
-                ),
-                telemetry=self.telemetry,
-                span_parent=attempt_span.span_id if tracer.enabled else None,
-            )
-            self._submit_attempt(
-                prepared,
-                pending=pending,
-                replication=replication,
-                script_id=script_id,
-                attempt_index=attempt_index,
-                verified_paths=verified_paths,
-                verifier=verifier,
-                attempt=attempt,
-                journal=journal,
-                span_parent=attempt_span.span_id if tracer.enabled else None,
-            )
-            # Global fail-safe: if stalled unverified jobs never finish,
-            # end the attempt once every verification deadline has passed.
-            self.loop.schedule(
-                timeout + 4 * self.config.cost.digest_network_seconds,
-                lambda a=attempt: setattr(a, "force_end", True),
-                label=f"attempt-deadline:{script_id}:{attempt_index}",
-            )
-            yield _WaitWhile(lambda a=attempt: not a.done())
-            # The force-end deadline can beat a verdict's delivery event;
-            # pull any internally-decided outcomes so reruns see them.
-            for sid in sorted(attempt.expected_verdicts - set(attempt.outcomes)):
-                decided = verifier.outcome(sid)
-                if decided is not None:
-                    attempt.outcomes[sid] = decided
-            for run in attempt.runs:
-                outcome = attempt.outcomes.get(run.sid)
-                sid_verified = outcome is not None and outcome.status == VERIFIED
-                if run.state != "done" and (
-                    not sid_verified or run.has_omitted_task()
-                ):
-                    # Cancel runs that can never verify; keep the late
-                    # replicas of verified sids running — their digests
-                    # still feed offline fault attribution.
-                    self.engine.cancel(run)
-            all_runs.extend(attempt.runs)
-            metrics.verification_comparisons += verifier.total_comparisons
-
-            outcomes = list(attempt.outcomes.values())
-            all_outcomes.extend(outcomes)
-            self._apply_outcomes(prepared, attempt, outcomes, journal=journal)
-
-            # Commit verified, output-covered jobs; record every VERIFIED
-            # sid (committable or not) as settled.
-            for job_index, sid in self._sids(prepared, pending, script_id, attempt_index):
-                if sid in settled_sids:
-                    # Settled at verdict time (checkpoint tier): merge
-                    # the staged effects at the same point in the
-                    # attempt boundary the regular path applies them, so
-                    # rerun closures and assurance checks are identical.
-                    if job_index in staged_ok:
-                        verified_ok.add(job_index)
-                    staged = staged_commits.get(job_index)
-                    if staged is not None:
-                        logical, target = staged
-                        verified_paths[logical] = target
-                        verified_jobs.add(job_index)
-                        checkpointed += 1
-                    continue
-                outcome = attempt.outcomes.get(sid)
-                if outcome is not None:
-                    if journal is not None:
-                        journal.append(
-                            wal.VERDICT,
-                            sid=sid,
-                            status=outcome.status,
-                            winners=sorted(outcome.winners),
-                            faulty_replicas=sorted(
-                                fault.replica for fault in outcome.faults
-                            ),
-                        )
-                    self.audit.record(
-                        self.loop.now,
-                        VERDICT,
-                        sid,
-                        status=outcome.status,
-                        winners=tuple(sorted(outcome.winners)),
-                        faulty_replicas=tuple(
-                            fault.replica for fault in outcome.faults
-                        ),
-                        **self.audit_context,
-                    )
-                if outcome is None or outcome.status != VERIFIED:
-                    continue
-                spec = graph.jobs[job_index]
-                if output_coverage(spec) is None:
-                    verified_ok.add(job_index)
-                    continue
-                # Equivocation defense: digests cover the *computed*
-                # stream, so a node may verify yet persist different
-                # bytes.  Cross-check winners' stored outputs before
-                # trusting any of them; no majority means the sid stays
-                # unsettled and the rerun escalation takes over.
-                winner = self._cross_checked_winner(
-                    attempt,
-                    outcome,
-                    script_id,
-                    attempt_index,
-                    job_index,
-                    spec,
-                    journal=journal,
+    def _settle_attempt(self, run: _Run, attempt: _Attempt) -> None:
+        """Settle attempt: apply the outcomes to suspicion and isolation,
+        settle every sid with a verdict into the run state, and journal
+        the ``attempt_end`` snapshot of that state."""
+        outcomes = list(attempt.outcomes.values())
+        run.outcomes.extend(outcomes)
+        self._apply_outcomes(attempt, outcomes, run.journal)
+        state = run.state
+        for job_index, sid in attempt.sids.items():
+            if sid in attempt.staged:
+                # Settled at verdict time (checkpoint tier): merge the
+                # staged effects at the same point the boundary applies
+                # its own, so rerun closures and assurance are identical.
+                ok, target = attempt.staged[sid]
+                if target is not None:
+                    run.checkpointed += 1
+            elif sid in attempt.outcomes:
+                ok, target = self._settle_sid(
+                    run, attempt, attempt.outcomes[sid], checkpoint=False
                 )
-                if winner is None:
-                    continue
-                verified_ok.add(job_index)
-                source = self._replica_path(
-                    script_id, attempt_index, winner, spec.output_path
-                )
-                target = f"__run/{script_id}/verified/{spec.output_path}"
-                if journal is not None:
-                    # The commit record carries the full winning content
-                    # (fsync'd): recovery re-stages it into a fresh DFS
-                    # without re-executing the job.
-                    journal.append(
-                        wal.COMMIT,
-                        sid=sid,
-                        job_index=job_index,
-                        path=spec.output_path,
-                        target=target,
-                        winner=winner,
-                        content=wal.records_to_json(self.dfs.read(source)),
-                    )
-                self._copy_file(source, target)
-                verified_paths[spec.output_path] = target
-                verified_jobs.add(job_index)
-                self.audit.record(
-                    self.loop.now,
-                    COMMIT,
-                    sid,
-                    path=spec.output_path,
-                    winner=winner,
-                    **self.audit_context,
-                )
-
-            attempt_span.end(
-                verdicts={
-                    status: sum(1 for o in outcomes if o.status == status)
-                    for status in (VERIFIED, FAILED, TIMEOUT)
-                },
-                comparisons=verifier.total_comparisons,
-            )
-            if journal is not None:
-                # The settled attempt boundary (fsync'd): everything
-                # recovery needs to rebuild the control tier's state.
-                # next_replication/next_timeout are the deterministic
-                # escalation values — written *before* the escalation
-                # branch runs (write-ahead).
-                journal.append(
-                    wal.ATTEMPT_END,
-                    script_id=script_id,
-                    attempt=attempt_index,
-                    attempts_used=attempts_used,
-                    next_replication=replication + cfg.rerun_extra_replicas,
-                    next_timeout=escalated_timeout(timeout),
-                    verified_jobs=sorted(verified_jobs),
-                    verified_ok=sorted(verified_ok),
-                    verified_paths=dict(sorted(verified_paths.items())),
-                    reused=reused,
-                    suspicion={
-                        node_id: [state.jobs_executed, state.faults_associated]
-                        for node_id, state in sorted(self.suspicion.nodes.items())
-                    },
-                    analyzer={
-                        "observations": self.fault_analyzer.observations,
-                        "saturated_at": self.fault_analyzer.saturated_at,
-                        "disjoint": [
-                            sorted(s) for s in self.fault_analyzer.disjoint
-                        ],
-                        "overlapping": [
-                            sorted(s) for s in self.fault_analyzer.overlapping
-                        ],
-                    },
-                    evicted=sorted(
-                        node_id
-                        for node_id, node in self.cluster.nodes.items()
-                        if node.excluded
-                    ),
-                    quarantined=sorted(self.scheduler.quarantined),
-                )
-            if not verifiable:
-                # Nothing to verify (outputs not instrumented): run once,
-                # publish best-effort, report unassured.
-                break
-            if all(i in verified_jobs for i in final_jobs) and verifiable <= verified_ok:
-                assured = True
-                break
-            replication += cfg.rerun_extra_replicas
-            next_timeout = escalated_timeout(timeout)
-            if next_timeout < timeout * 2:
-                # Liveness signal: escalation wanted to keep doubling but
-                # hit the configured ceiling — audited, never silent.
-                self.audit.record(
-                    self.loop.now,
-                    TIMEOUT_CAP,
-                    script_id,
-                    attempt=attempt_index,
-                    capped=next_timeout,
-                    uncapped=timeout * 2,
-                    **self.audit_context,
-                )
-            timeout = next_timeout
-            if tracer.enabled:
-                tracer.event(
-                    "escalation",
-                    script_id=script_id,
-                    next_replication=replication,
-                    next_timeout=timeout,
-                )
-
-        outputs = self._publish_outputs(
-            prepared, script_id, verified_paths, assured, last_attempt
+            else:
+                continue
+            if ok:
+                state.verified_ok.add(job_index)
+            if target is not None:
+                logical = run.prepared.job_graph.jobs[job_index].output_path
+                state.verified_paths[logical] = target
+                state.verified_jobs.add(job_index)
+        attempt.span.end(
+            verdicts={
+                status: sum(1 for o in outcomes if o.status == status)
+                for status in (VERIFIED, FAILED, TIMEOUT)
+            },
+            comparisons=attempt.verifier.total_comparisons,
         )
-        metrics.latency = self.loop.now - start
-        exhausted = bool(verifiable) and not assured
+        if run.journal is not None:
+            # The settled attempt boundary (fsync'd): everything
+            # recovery needs to rebuild the control tier's state.
+            # next_replication/next_timeout are the deterministic
+            # escalation values — written *before* the escalation
+            # branch runs (write-ahead).
+            run.journal.append(
+                wal.ATTEMPT_END,
+                script_id=state.script_id,
+                attempt=attempt.index,
+                attempts_used=state.attempts_used,
+                next_replication=state.replication + run.cfg.rerun_extra_replicas,
+                next_timeout=run.escalated_timeout(state.timeout),
+                verified_jobs=sorted(state.verified_jobs),
+                verified_ok=sorted(state.verified_ok),
+                verified_paths=dict(sorted(state.verified_paths.items())),
+                reused=state.reused,
+                suspicion={
+                    node_id: [node.jobs_executed, node.faults_associated]
+                    for node_id, node in sorted(self.suspicion.nodes.items())
+                },
+                analyzer={
+                    "observations": self.fault_analyzer.observations,
+                    "saturated_at": self.fault_analyzer.saturated_at,
+                    "disjoint": [sorted(s) for s in self.fault_analyzer.disjoint],
+                    "overlapping": [
+                        sorted(s) for s in self.fault_analyzer.overlapping
+                    ],
+                },
+                evicted=sorted(
+                    node_id
+                    for node_id, node in self.cluster.nodes.items()
+                    if node.excluded
+                ),
+                quarantined=sorted(self.scheduler.quarantined),
+            )
+
+    def _settle_sid(
+        self,
+        run: _Run,
+        attempt: _Attempt,
+        outcome: VerificationOutcome,
+        checkpoint: bool,
+    ) -> tuple[bool, str | None]:
+        """Settle one sid's verdict: journal and audit it, cross-check a
+        VERIFIED sid's stored outputs, and commit the winner — as a
+        ``commit`` at the attempt boundary or, on the checkpoint tier, a
+        ``checkpoint`` at verdict time.
+
+        Returns ``(verified_ok, committed target)`` for the caller to
+        apply to the run state: the boundary applies it at once, the
+        checkpoint tier stages it to the boundary (the in-flight
+        attempt's path map must not change under it, keeping a
+        checkpointed uninterrupted run event-for-event identical to a
+        checkpoint-free one).
+        """
+        sid = outcome.sid
+        journal = run.journal
+        if journal is not None:
+            journal.append(
+                wal.VERDICT,
+                sid=sid,
+                status=outcome.status,
+                winners=sorted(outcome.winners),
+                faulty_replicas=sorted(fault.replica for fault in outcome.faults),
+            )
+        self.audit.record(
+            self.loop.now,
+            VERDICT,
+            sid,
+            status=outcome.status,
+            winners=tuple(sorted(outcome.winners)),
+            faulty_replicas=tuple(fault.replica for fault in outcome.faults),
+            **self.audit_context,
+        )
+        if outcome.status != VERIFIED:
+            return False, None
+        job_index = attempt.jobs[sid]
+        spec = run.prepared.job_graph.jobs[job_index]
+        if output_coverage(spec) is None:
+            return True, None
+        # Equivocation defense: digests cover the *computed* stream, so a
+        # node may verify yet persist different bytes.  Cross-check the
+        # winners' stored outputs before trusting any of them; no
+        # majority leaves the sid unsettled for the rerun escalation.
+        winner = self._cross_checked_winner(
+            attempt, outcome, job_index, spec, journal
+        )
+        if winner is None:
+            return False, None
+        source = attempt.replica_path(winner, spec.output_path)
+        target = f"__run/{attempt.script_id}/verified/{spec.output_path}"
+        if journal is not None:
+            # The record carries the full winning content (fsync'd):
+            # recovery re-stages it into a fresh DFS without
+            # re-executing the job.
+            content = wal.records_to_json(self.dfs.read(source))
+            if checkpoint:
+                journal.append(
+                    wal.CHECKPOINT,
+                    sid=sid,
+                    job_index=job_index,
+                    path=spec.output_path,
+                    target=target,
+                    winner=winner,
+                    content=content,
+                )
+            else:
+                journal.append(
+                    wal.COMMIT,
+                    sid=sid,
+                    job_index=job_index,
+                    path=spec.output_path,
+                    target=target,
+                    winner=winner,
+                    content=content,
+                )
+        self._copy_file(source, target)
+        # A checkpoint is audited as a COMMIT with a marker, so coverage
+        # checks over committed sids keep seeing one uniform kind.
+        marker = {"checkpoint": True} if checkpoint else {}
+        self.audit.record(
+            self.loop.now,
+            COMMIT,
+            sid,
+            path=spec.output_path,
+            winner=winner,
+            **marker,
+            **self.audit_context,
+        )
+        if checkpoint and self.telemetry.enabled:
+            self.telemetry.tracer.event(
+                "checkpoint.commit", sid=sid, path=spec.output_path
+            )
+            self.telemetry.metrics.counter("checkpoint_commits").inc()
+        return True, target
+
+    def _escalate(self, run: _Run, index: int) -> None:
+        """Escalate: the next attempt runs with more replicas and a
+        doubled (possibly capped) verifier timeout."""
+        state = run.state
+        state.replication += run.cfg.rerun_extra_replicas
+        uncapped = state.timeout * 2
+        state.timeout = run.escalated_timeout(state.timeout)
+        if state.timeout < uncapped:
+            # Liveness signal: escalation wanted to keep doubling but
+            # hit the configured ceiling — audited, never silent.
+            self.audit.record(
+                self.loop.now,
+                TIMEOUT_CAP,
+                state.script_id,
+                attempt=index,
+                capped=state.timeout,
+                uncapped=uncapped,
+                **self.audit_context,
+            )
+        tracer = self.telemetry.tracer
+        if tracer.enabled:
+            tracer.event(
+                "escalation",
+                script_id=state.script_id,
+                next_replication=state.replication,
+                next_timeout=state.timeout,
+            )
+
+    def _close_run(self, run: _Run, strict: bool):
+        """Close run: publish the outputs, stop the latency clock, drain
+        late replicas for offline attribution, isolate, journal
+        ``run_end`` and return the result."""
+        state = run.state
+        assured = run.assured()
+        outputs = self._publish_outputs(
+            run.prepared, state.verified_paths, run.last_attempt
+        )
+        metrics = run.metrics
+        metrics.latency = self.loop.now - run.start
+        exhausted = bool(run.verifiable) and not assured
         unsettled = [
-            f"{script_id}.j{job_index}"
-            for job_index in sorted(verifiable - verified_ok)
+            f"{state.script_id}.j{job_index}"
+            for job_index in sorted(run.verifiable - state.verified_ok)
         ]
         if exhausted:
             self.audit.record(
                 self.loop.now,
                 EXHAUSTED,
-                script_id,
-                attempts=attempts_used,
+                state.script_id,
+                attempts=state.attempts_used,
                 unsettled=tuple(unsettled),
                 **self.audit_context,
             )
-        run_span.end(
+        run.span.end(
             end=self.loop.now,
             latency=metrics.latency,
             assured=assured,
-            attempts=attempts_used,
-            reused_jobs=reused,
-            checkpoints=checkpointed,
+            attempts=state.attempts_used,
+            reused_jobs=state.reused,
+            checkpoints=run.checkpointed,
         )
         # Drain the late replicas of verified sids (offline attribution):
         # happens after the latency clock stops — verification is not on
         # the critical path.  The drain is bounded: replicas that cannot
         # make progress (e.g. their partition was evicted) are cancelled.
-        drain_deadline = self.loop.now + cfg.verifier_timeout
+        drain_deadline = self.loop.now + run.cfg.verifier_timeout
         yield _WaitWhile(
             lambda: self.loop.now < drain_deadline
-            and any(run.is_active and not run.all_finished() for run in all_runs)
+            and any(r.is_active and not r.all_finished() for r in run.runs)
         )
         # Digest messages and verifier finalization trail task completion
         # by a few network hops — flush them, or late-replica faults
@@ -930,49 +989,51 @@ class ClusterBFTController:
         yield _WaitUntil(
             self.loop.now + 10 * self.config.cost.digest_network_seconds + 0.5
         )
-        for run in all_runs:
-            if run.state != "done":
-                self.engine.cancel(run)
-        self._evict_suspects(journal=journal)
-        for run in all_runs:
-            metrics.absorb_job(run.metrics)
+        for job_run in run.runs:
+            if job_run.state != "done":
+                self.engine.cancel(job_run)
+        self._isolate(run.journal)
+        for job_run in run.runs:
+            metrics.absorb_job(job_run.metrics)
         if self.telemetry.enabled:
             publish_run(self.telemetry.metrics, metrics, mode="assured")
-        if journal is not None:
+        if run.journal is not None:
             # Terminal record (fsync'd): a journal ending in run_end is
             # complete — resuming it replays the recorded result instead
             # of re-executing anything.  Closing here also enforces the
             # one-WAL-one-run contract.
-            journal.append(
+            run.journal.append(
                 wal.RUN_END,
-                script_id=script_id,
+                script_id=state.script_id,
                 assured=assured,
                 exhausted=exhausted,
-                attempts=attempts_used,
-                reused=reused,
-                checkpoints=checkpointed,
+                attempts=state.attempts_used,
+                reused=state.reused,
+                checkpoints=run.checkpointed,
                 latency=metrics.latency,
                 outputs={
                     logical: wal.records_to_json(records)
                     for logical, records in sorted(outputs.items())
                 },
             )
-            journal.close()
+            run.journal.close()
         result = ScriptResult(
-            script_id=script_id,
+            script_id=state.script_id,
             assured=assured,
             outputs=outputs,
             latency=metrics.latency,
-            attempts=attempts_used,
+            attempts=state.attempts_used,
             metrics=metrics,
-            outcomes=all_outcomes,
-            marked_vertices=list(prepared.marked_vertices),
-            reused_jobs=reused,
+            outcomes=run.outcomes,
+            marked_vertices=list(run.prepared.marked_vertices),
+            reused_jobs=state.reused,
             exhausted=exhausted,
-            checkpoint_commits=checkpointed,
+            checkpoint_commits=run.checkpointed,
         )
         if exhausted and strict:
-            error = VerificationExhausted(script_id, attempts_used, unsettled)
+            error = VerificationExhausted(
+                state.script_id, state.attempts_used, unsettled
+            )
             error.result = result
             raise error
         return result
@@ -981,46 +1042,34 @@ class ClusterBFTController:
     # attempt plumbing
     # ------------------------------------------------------------------
 
-    def _sids(self, prepared, pending, script_id, attempt_index):
-        return [
-            (job_index, f"{script_id}.a{attempt_index}.j{job_index}")
-            for job_index in pending
-        ]
-
-    def _replica_path(self, script_id: str, attempt: int, replica: int, logical: str) -> str:
-        return f"__run/{script_id}/a{attempt}/r{replica}/{logical}"
-
     def _submit_attempt(
         self,
         prepared: PreparedScript,
-        pending: list[int],
+        attempt: _Attempt,
         replication: int,
-        script_id: str,
-        attempt_index: int,
         verified_paths: dict[str, str],
         verifier: Verifier | None,
-        attempt: _Attempt,
         journal: wal.Journal | None = None,
         span_parent: int | None = None,
     ) -> None:
         graph = prepared.job_graph
         internal = graph.internal_paths()
         deps = graph.dependencies()
+        pending = list(attempt.sids)
         pending_set = set(pending)
         attempt.deps = {i: {d for d in deps[i] if d in pending_set} for i in pending}
 
         submitted: set[tuple[int, int]] = set()
         done: set[tuple[int, int]] = set()
 
-        job_sids = dict(self._sids(prepared, pending, script_id, attempt_index))
-        for job_index in pending:
+        for job_index, sid in attempt.sids.items():
             spec = graph.jobs[job_index]
             if verifier is not None and job_has_verification(spec):
-                attempt.expected_verdicts.add(job_sids[job_index])
+                attempt.expected_verdicts.add(sid)
                 # Register up front: the timeout clock must cover stalls
                 # anywhere in the chain, including upstream jobs that
                 # keep this sid's replicas from ever being submitted.
-                verifier.register(job_sids[job_index], replication)
+                verifier.register(sid, replication)
             else:
                 for replica in range(replication):
                     attempt.plain_jobs_pending.add((job_index, replica))
@@ -1034,11 +1083,9 @@ class ClusterBFTController:
                 if path in verified_paths:
                     mapping[path] = verified_paths[path]
                 elif path in internal:
-                    mapping[path] = self._replica_path(
-                        script_id, attempt_index, replica, path
-                    )
-            mapping[spec.output_path] = self._replica_path(
-                script_id, attempt_index, replica, spec.output_path
+                    mapping[path] = attempt.replica_path(replica, path)
+            mapping[spec.output_path] = attempt.replica_path(
+                replica, spec.output_path
             )
             return mapping
 
@@ -1075,7 +1122,7 @@ class ClusterBFTController:
                     if not all((d, replica) in done for d in job_deps):
                         continue
                     submitted.add(key)
-                    sid = job_sids[job_index]
+                    sid = attempt.sids[job_index]
                     spec = graph.jobs[job_index]
                     run = JobRun(
                         job_id=f"{sid}.r{replica}",
@@ -1083,7 +1130,7 @@ class ClusterBFTController:
                         replica=replica,
                         spec=spec,
                         path_map=path_map_for(job_index, replica),
-                        scope=f"{script_id}.a{attempt_index}",
+                        scope=f"{attempt.script_id}.a{attempt.index}",
                         digest_sink=verifier.on_report if verifier else None,
                         on_complete=lambda run, i=job_index, k=replica: on_complete(
                             run, i, k
@@ -1093,7 +1140,7 @@ class ClusterBFTController:
                         # (restricted to this attempt's pending set) are
                         # what the critical-path computation follows.
                         trace_attrs={
-                            "attempt": attempt_index,
+                            "attempt": attempt.index,
                             "job_index": job_index,
                             "deps": sorted(job_deps),
                         },
@@ -1105,217 +1152,92 @@ class ClusterBFTController:
 
         submit_ready()
 
-    def _on_verdict(self, attempt: _Attempt, outcome: VerificationOutcome) -> None:
-        attempt.outcomes[outcome.sid] = outcome
-
-    def _checkpoint_verdict(
-        self,
-        prepared: PreparedScript,
-        attempt: _Attempt,
-        outcome: VerificationOutcome,
-        script_id: str,
-        attempt_index: int,
-        sid_jobs: dict[str, int],
-        settled: set[str],
-        staged_ok: set[int],
-        staged_commits: dict[int, tuple[str, str]],
-        journal: wal.Journal | None,
-    ) -> None:
-        """Verdict-time commit (``ClusterBFTConfig.checkpoints``).
-
-        Journals the verdict and — for output-covered, cross-checked
-        VERIFIED sids — an fsync'd ``checkpoint`` record *inside* the
-        running attempt, so a crash mid-attempt resumes from the last
-        verified sub-graph instead of rerunning everything.  Run-state
-        effects (``verified_jobs``/``verified_ok``/``verified_paths``)
-        are *staged* and merged at the attempt boundary: the in-flight
-        attempt's path map must not change under it, keeping a
-        checkpointed uninterrupted run event-for-event identical to a
-        checkpoint-free one.
-        """
-        if outcome.status != VERIFIED:
-            # TIMEOUT/FAILED sids stay with the attempt-end loop: they
-            # produce no commit, so eager settlement buys no durability.
-            return
-        job_index = sid_jobs.get(outcome.sid)
-        if job_index is None:
-            return
-        if journal is None:
-            journal = self.journal
-        spec = prepared.job_graph.jobs[job_index]
-        if journal is not None:
-            journal.append(
-                wal.VERDICT,
-                sid=outcome.sid,
-                status=outcome.status,
-                winners=sorted(outcome.winners),
-                faulty_replicas=sorted(
-                    fault.replica for fault in outcome.faults
-                ),
-            )
-        self.audit.record(
-            self.loop.now,
-            VERDICT,
-            outcome.sid,
-            status=outcome.status,
-            winners=tuple(sorted(outcome.winners)),
-            faulty_replicas=tuple(fault.replica for fault in outcome.faults),
-            **self.audit_context,
-        )
-        # Settled even when the cross-check below yields no majority:
-        # the verdict is journaled either way, and the attempt-end loop
-        # must not journal it (or attribute equivocation faults) twice.
-        settled.add(outcome.sid)
-        if output_coverage(spec) is None:
-            staged_ok.add(job_index)
-            return
-        winner = self._cross_checked_winner(
-            attempt,
-            outcome,
-            script_id,
-            attempt_index,
-            job_index,
-            spec,
-            journal=journal,
-        )
-        if winner is None:
-            return
-        staged_ok.add(job_index)
-        source = self._replica_path(
-            script_id, attempt_index, winner, spec.output_path
-        )
-        target = f"__run/{script_id}/verified/{spec.output_path}"
-        if journal is not None:
-            # Like a commit record, the checkpoint carries the winning
-            # content inline (fsync'd): recovery re-stages it into a
-            # fresh DFS without re-executing the job.
-            journal.append(
-                wal.CHECKPOINT,
-                sid=outcome.sid,
-                job_index=job_index,
-                path=spec.output_path,
-                target=target,
-                winner=winner,
-                content=wal.records_to_json(self.dfs.read(source)),
-            )
-        self._copy_file(source, target)
-        staged_commits[job_index] = (spec.output_path, target)
-        # Audited as a COMMIT (with a checkpoint marker) so coverage
-        # checks over committed sids keep seeing one uniform kind.
-        self.audit.record(
-            self.loop.now,
-            COMMIT,
-            outcome.sid,
-            path=spec.output_path,
-            winner=winner,
-            checkpoint=True,
-            **self.audit_context,
-        )
-        if self.telemetry.enabled:
-            self.telemetry.tracer.event(
-                "checkpoint.commit", sid=outcome.sid, path=spec.output_path
-            )
-            self.telemetry.metrics.counter("checkpoint_commits").inc()
-
-    def _on_late_fault(
-        self, sid: str, fault, journal: wal.Journal | None = None
-    ) -> None:
-        """A replica that finished after its sid's verdict disagreed with
-        the winning digest vector."""
-        if journal is None:
-            journal = self.journal
-        if journal is not None:
-            journal.append(
-                wal.LATE_FAULT,
-                sid=sid,
-                replica=fault.replica,
-                fault_kind=fault.kind,
-                nodes=sorted(fault.nodes),
-            )
-        # Late faults mutate cross-run shared state (suspicion, fault
-        # analyzer) inside a tenant's attribution window, so the audit
-        # trail must name that tenant — same contract as the verdict-time
-        # fault path in _apply_outcomes (AUD001).
-        self.audit.record(
-            self.loop.now,
-            FAULT,
-            sid,
-            replica=fault.replica,
-            fault_kind=fault.kind,
-            nodes=tuple(sorted(fault.nodes)),
-            late=True,
-            **self.audit_context,
-        )
-        self.suspicion.record_fault(set(fault.nodes))
-        if fault.kind == COMMISSION:
-            self.fault_analyzer.observe(set(fault.nodes))
-        self._maybe_reconfigure(journal=journal)
-        if self.telemetry.enabled:
-            self._publish_suspicion_gauges()
-
     # ------------------------------------------------------------------
     # outcome handling: suspicion, fault isolation, eviction
     # ------------------------------------------------------------------
 
+    def _record_fault(
+        self,
+        sid: str,
+        replica: int,
+        kind: str,
+        nodes,
+        journal: wal.Journal | None,
+        late: bool = False,
+    ) -> None:
+        """Attribute one faulty replica of ``sid``: journal it
+        (write-ahead), audit it under the tenant attribution, charge its
+        cluster's suspicion and — for commission and equivocation, which
+        prove wrong content — feed the fault analyzer.  ``late`` marks a
+        replica that disagreed after its sid's verdict."""
+        nodes = sorted(nodes)
+        if journal is not None:
+            if late:
+                journal.append(
+                    wal.LATE_FAULT,
+                    sid=sid,
+                    replica=replica,
+                    fault_kind=kind,
+                    nodes=nodes,
+                )
+            else:
+                journal.append(
+                    wal.FAULT,
+                    sid=sid,
+                    replica=replica,
+                    fault_kind=kind,
+                    nodes=nodes,
+                )
+        late_marker = {"late": True} if late else {}
+        self.audit.record(
+            self.loop.now,
+            FAULT,
+            sid,
+            replica=replica,
+            fault_kind=kind,
+            nodes=tuple(nodes),
+            **late_marker,
+            **self.audit_context,
+        )
+        self.suspicion.record_fault(set(nodes))
+        if kind != OMISSION:
+            self.fault_analyzer.observe(set(nodes))
+
+    def _on_late_fault(
+        self, sid: str, fault: ReplicaFault, journal: wal.Journal | None = None
+    ) -> None:
+        """A replica that finished after its sid's verdict disagreed with
+        the winning digest vector."""
+        self._record_fault(
+            sid, fault.replica, fault.kind, fault.nodes, journal, late=True
+        )
+        self._maybe_reconfigure(journal)
+        if self.telemetry.enabled:
+            self._publish_suspicion_gauges()
+
     def _apply_outcomes(
         self,
-        prepared: PreparedScript,
         attempt: _Attempt,
         outcomes: list[VerificationOutcome],
-        journal: wal.Journal | None = None,
+        journal: wal.Journal | None,
     ) -> None:
-        if journal is None:
-            journal = self.journal
+        suspected: list[set[NodeId]] = []
         for outcome in outcomes:
             if outcome.status == VERIFIED:
                 # Losers are *known* faulty clusters: quorum proved the
                 # correct digests, these replicas disagreed.
                 for fault in outcome.faults:
-                    if journal is not None:
-                        journal.append(
-                            wal.FAULT,
-                            sid=outcome.sid,
-                            replica=fault.replica,
-                            fault_kind=fault.kind,
-                            nodes=sorted(fault.nodes),
-                        )
-                    self.audit.record(
-                        self.loop.now,
-                        FAULT,
-                        outcome.sid,
-                        replica=fault.replica,
-                        fault_kind=fault.kind,
-                        nodes=tuple(sorted(fault.nodes)),
-                        **self.audit_context,
+                    self._record_fault(
+                        outcome.sid, fault.replica, fault.kind, fault.nodes, journal
                     )
-                    self.suspicion.record_fault(set(fault.nodes))
-                    if fault.kind == COMMISSION:
-                        self.fault_analyzer.observe(set(fault.nodes))
             elif outcome.status == FAILED:
                 # No quorum: every cluster is a suspect, none is proven.
-                for fault in outcome.faults:
-                    self.suspicion.record_fault(set(fault.nodes))
+                suspected.extend(set(fault.nodes) for fault in outcome.faults)
             elif outcome.status == TIMEOUT:
                 # Suspect only the replicas that never reported.
-                missing_nodes = self._missing_replica_nodes(attempt, outcome)
-                if missing_nodes:
-                    self.suspicion.record_fault(missing_nodes)
-        # Once the fault analyzer saturates (|D| = f), every fault must
-        # live inside its suspect set — exonerate the rest (paper §4.3).
-        if self.fault_analyzer.saturated:
-            cleared = self.suspicion.suspects() - self.fault_analyzer.suspects()
-            if journal is not None:
-                # The analyzer's conclusion, journaled before it acts
-                # (exoneration mutates suspicion levels).
-                journal.append(
-                    wal.ANALYZER,
-                    suspects=sorted(self.fault_analyzer.suspects()),
-                    cleared=sorted(cleared),
-                )
-            if cleared:
-                self.suspicion.clear_faults(cleared)
-        self._evict_suspects(journal=journal)
-        self._maybe_reconfigure(journal=journal)
+                suspected.append(self._missing_replica_nodes(attempt, outcome))
+        self._isolate(journal, suspected, exonerate=True)
+        self._maybe_reconfigure(journal)
         if self.telemetry.enabled:
             self._publish_suspicion_gauges()
 
@@ -1337,11 +1259,9 @@ class ClusterBFTController:
         self,
         attempt: _Attempt,
         outcome: VerificationOutcome,
-        script_id: str,
-        attempt_index: int,
         job_index: int,
         spec,
-        journal: wal.Journal | None = None,
+        journal: wal.Journal | None,
     ) -> int | None:
         """Content cross-check over the digest quorum's winner replicas.
 
@@ -1354,9 +1274,7 @@ class ClusterBFTController:
         """
         groups: dict[tuple, list[int]] = {}
         for replica in sorted(outcome.winners):
-            path = self._replica_path(
-                script_id, attempt_index, replica, spec.output_path
-            )
+            path = attempt.replica_path(replica, spec.output_path)
             if not self.dfs.exists(path):
                 continue
             content = tuple(
@@ -1377,101 +1295,98 @@ class ClusterBFTController:
             if replicas is not majority
             for replica in replicas
         )
-        if journal is None:
-            journal = self.journal
         for replica in divergent:
-            nodes = attempt.chain_nodes.get((job_index, replica), set())
-            if journal is not None:
-                journal.append(
-                    wal.FAULT,
-                    sid=outcome.sid,
-                    replica=replica,
-                    fault_kind="equivocation",
-                    nodes=sorted(nodes),
-                )
-            self.audit.record(
-                self.loop.now,
-                FAULT,
+            self._record_fault(
                 outcome.sid,
-                replica=replica,
-                fault_kind="equivocation",
-                nodes=tuple(sorted(nodes)),
-                **self.audit_context,
+                replica,
+                "equivocation",
+                attempt.chain_nodes.get((job_index, replica), set()),
+                journal,
             )
-            if nodes:
-                self.suspicion.record_fault(set(nodes))
-                self.fault_analyzer.observe(set(nodes))
             if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "equivocations_detected"
-                ).inc()
+                self.telemetry.metrics.counter("equivocations_detected").inc()
         if divergent:
             # Equivocation is often the first region-level signal a
             # degrading zone gives off — check for migration here too,
             # not just at attempt boundaries.
-            self._maybe_reconfigure(journal=journal)
+            self._maybe_reconfigure(journal)
             if self.telemetry.enabled:
                 self._publish_suspicion_gauges()
         if majority is None:
             return None
         return min(majority)
 
-    def _evict_suspects(self, journal: wal.Journal | None = None) -> None:
+    def _isolate(
+        self,
+        journal: wal.Journal | None,
+        suspected: Sequence[set[NodeId]] = (),
+        exonerate: bool = False,
+    ) -> None:
+        """Resource-manager step: charge the ``suspected`` clusters
+        (unproven — no quorum, or replicas that never reported); with
+        ``exonerate`` (attempt boundaries) let a saturated fault analyzer
+        clear every node outside its suspect set (paper §4.3); then
+        evict nodes over the suspicion threshold and quarantine those
+        over the quarantine threshold."""
         cfg = self.config.bft
-        if journal is None:
-            journal = self.journal
-        # Sorted: audit-entry order must not depend on set iteration
-        # (string hashing is salted per process — byte-identical trace
-        # replays need a canonical order).
-        for node_id in sorted(self.suspicion.over_threshold(cfg.suspicion_threshold)):
-            state = self.suspicion.nodes[node_id]
-            if state.jobs_executed < cfg.suspicion_min_jobs:
-                continue
-            if not self.cluster.node(node_id).excluded:
-                if journal is not None:
-                    journal.append(
-                        wal.EVICTION,
-                        node=node_id,
-                        suspicion=round(state.level, 3),
-                        jobs=state.jobs_executed,
-                        **self.audit_context,
-                    )
-                self.cluster.exclude(node_id)
+        for nodes in suspected:
+            self.suspicion.record_fault(nodes)
+        if exonerate and self.fault_analyzer.saturated:
+            cleared = self.suspicion.suspects() - self.fault_analyzer.suspects()
+            if journal is not None:
+                # The analyzer's conclusion, journaled before it acts.
+                journal.append(
+                    wal.ANALYZER,
+                    suspects=sorted(self.fault_analyzer.suspects()),
+                    cleared=sorted(cleared),
+                )
+            if cleared:
+                self.suspicion.clear_faults(cleared)
+        tiers = [(EVICTION, cfg.suspicion_threshold)]
+        if cfg.quarantine_threshold is not None:
+            tiers.append((QUARANTINE, cfg.quarantine_threshold))
+        # Evictions first (eviction supersedes quarantine).  Sorted:
+        # audit-entry order must not depend on set iteration (string
+        # hashing is salted per process — byte-identical trace replays
+        # need a canonical order).
+        for kind, threshold in tiers:
+            for node_id in sorted(self.suspicion.over_threshold(threshold)):
+                node = self.suspicion.nodes[node_id]
+                if (
+                    node.jobs_executed < cfg.suspicion_min_jobs
+                    or self.cluster.node(node_id).excluded
+                    or (kind == QUARANTINE and self.scheduler.is_quarantined(node_id))
+                ):
+                    continue
+                level = round(node.level, 3)
+                if kind == EVICTION:
+                    if journal is not None:
+                        journal.append(
+                            wal.EVICTION,
+                            node=node_id,
+                            suspicion=level,
+                            jobs=node.jobs_executed,
+                            **self.audit_context,
+                        )
+                    self.cluster.exclude(node_id)
+                else:
+                    if journal is not None:
+                        journal.append(
+                            wal.QUARANTINE,
+                            node=node_id,
+                            suspicion=level,
+                            jobs=node.jobs_executed,
+                            **self.audit_context,
+                        )
+                    self.scheduler.quarantine(node_id)
                 self.audit.record(
                     self.loop.now,
-                    EVICTION,
+                    kind,
                     node_id,
-                    suspicion=round(state.level, 3),
-                    jobs=state.jobs_executed,
+                    suspicion=level,
+                    jobs=node.jobs_executed,
                     **self.audit_context,
                 )
-        if cfg.quarantine_threshold is None:
-            return
-        for node_id in sorted(self.suspicion.over_threshold(cfg.quarantine_threshold)):
-            state = self.suspicion.nodes[node_id]
-            if state.jobs_executed < cfg.suspicion_min_jobs:
-                continue
-            if self.cluster.node(node_id).excluded:
-                continue  # eviction supersedes quarantine
-            if self.scheduler.is_quarantined(node_id):
-                continue
-            if journal is not None:
-                journal.append(
-                    wal.QUARANTINE,
-                    node=node_id,
-                    suspicion=round(state.level, 3),
-                    jobs=state.jobs_executed,
-                    **self.audit_context,
-                )
-            self.scheduler.quarantine(node_id)
-            self.audit.record(
-                self.loop.now,
-                QUARANTINE,
-                node_id,
-                suspicion=round(state.level, 3),
-                jobs=state.jobs_executed,
-                **self.audit_context,
-            )
 
     # ------------------------------------------------------------------
     # online reconfiguration: region-level migration
@@ -1511,8 +1426,6 @@ class ClusterBFTController:
         threshold = cfg.region_suspicion_threshold
         if threshold is None or not self.cluster.config.regions:
             return
-        if journal is None:
-            journal = self.journal
         regions = self.cluster.regions()
         for region in regions:
             nodes = self._schedulable_region_nodes(region)
@@ -1608,45 +1521,22 @@ class ClusterBFTController:
     def _publish_outputs(
         self,
         prepared: PreparedScript,
-        script_id: str,
         verified_paths: dict[str, str],
-        assured: bool,
-        last_attempt: _Attempt | None,
+        attempt: _Attempt | None,
     ) -> dict[str, list[Record]]:
         outputs: dict[str, list[Record]] = {}
         for job in prepared.job_graph.jobs:
             if job.output_is_temp:
                 continue
             logical = job.output_path
-            if logical in verified_paths:
-                source = verified_paths[logical]
-            else:
-                # Unassured fallback: best-effort replica 0 of the last
-                # attempt (flagged by ScriptResult.assured = False).
-                source = None
-                if last_attempt:
-                    for run in last_attempt.runs:
-                        if run.spec.output_path == logical and run.replica == 0:
-                            source = run.physical_path(logical)
-                            break
+            source = verified_paths.get(logical)
+            if source is None and attempt is not None:
+                # Unverified or unassured: best-effort replica 0 of the
+                # last attempt (flagged by ScriptResult.assured = False).
+                source = attempt.replica_path(0, logical)
             if source is None or not self.dfs.exists(source):
                 outputs[logical] = []
                 continue
             self._copy_file(source, logical)
             outputs[logical] = self.dfs.read(logical)
-        return outputs
-
-    def _publish_replica_outputs(
-        self, prepared: PreparedScript, script_id: str, attempt: int, replica: int
-    ) -> dict[str, list[Record]]:
-        outputs: dict[str, list[Record]] = {}
-        for job in prepared.job_graph.jobs:
-            if job.output_is_temp:
-                continue
-            physical = self._replica_path(script_id, attempt, replica, job.output_path)
-            if self.dfs.exists(physical):
-                self._copy_file(physical, job.output_path)
-                outputs[job.output_path] = self.dfs.read(job.output_path)
-            else:
-                outputs[job.output_path] = []
         return outputs

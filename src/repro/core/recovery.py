@@ -48,7 +48,6 @@ from repro.core import journal as wal
 from repro.core.audit import TORN_TAIL
 from repro.core.controller import ClusterBFTController, ScriptResult
 from repro.core.fault_analyzer import FaultAnalyzer
-from repro.core.request_handler import RequestHandler
 from repro.core.suspicion import NodeSuspicion
 from repro.faults.injection import FaultPlan
 from repro.mapreduce.metrics import RunMetrics
@@ -269,37 +268,21 @@ def resume_run(
             if not controller.scheduler.is_quarantined(node_id):
                 controller.scheduler.quarantine(node_id)
 
-    # -- replay fsync'd commits (even from the crashed attempt) ---------
-    for commit in commits:
-        content = wal.records_from_json(commit["content"])
-        target = commit["target"]
-        if controller.dfs.exists(target):
-            controller.dfs.delete(target)
-        controller.dfs.write_file(target, content)
-        resume.verified_jobs.add(commit["job_index"])
-        resume.verified_ok.add(commit["job_index"])
-        resume.verified_paths[commit["path"]] = target
-
-    # -- replay fsync'd checkpoints (verdict-time commits) --------------
-    # Same shape and same idempotent delete-then-write staging as the
-    # commit replay above: a checkpoint folded into a later snapshot is
-    # simply re-staged to the identical content.  This is how a crash
-    # *inside* an attempt resumes from the last verified sub-graph
-    # instead of rerunning the whole closure.
-    for checkpoint in checkpoints:
-        content = wal.records_from_json(checkpoint["content"])
-        target = checkpoint["target"]
-        if controller.dfs.exists(target):
-            controller.dfs.delete(target)
-        controller.dfs.write_file(target, content)
-        resume.verified_jobs.add(checkpoint["job_index"])
-        resume.verified_ok.add(checkpoint["job_index"])
-        resume.verified_paths[checkpoint["path"]] = target
-        if controller.telemetry.enabled:
+    # -- replay fsync'd commits and checkpoints --------------------------
+    # Even from the crashed attempt: a checkpoint is a verdict-time
+    # commit of the same shape, which is how a crash *inside* an attempt
+    # resumes from the last verified sub-graph instead of rerunning the
+    # whole closure.  Staging is idempotent: a record already folded
+    # into the snapshot is re-staged to the identical content.
+    for record in commits + checkpoints:
+        target = record["target"]
+        controller.load_input(target, wal.records_from_json(record["content"]))
+        resume.verified_jobs.add(record["job_index"])
+        resume.verified_ok.add(record["job_index"])
+        resume.verified_paths[record["path"]] = target
+        if record["kind"] == wal.CHECKPOINT and controller.telemetry.enabled:
             controller.telemetry.tracer.event(
-                "checkpoint.restore",
-                sid=checkpoint["sid"],
-                path=checkpoint["path"],
+                "checkpoint.restore", sid=record["sid"], path=record["path"]
             )
 
     journal.append(
@@ -312,13 +295,10 @@ def resume_run(
     journal.run_started = True
 
     # -- re-prepare with the *recorded* instrumentation -----------------
-    handler = RequestHandler(cfg)
-    prepared = handler.prepare(
+    prepared = controller.prepare(
         script,
-        controller._input_sizes(controller._to_plan(script)),
         explicit_points=list(run_start["marked"]),
         include_output_points=run_start["include_output_points"],
-        compile_options=controller._compile_options(),
     )
     result = controller.resume_assured(prepared, resume, strict=strict)
     return RecoveredRun(

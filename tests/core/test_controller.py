@@ -13,6 +13,7 @@ from repro.faults.injection import (
     single_omission,
     slow_node,
 )
+from repro.telemetry import Telemetry
 
 SCRIPT = """
 A = LOAD 'in' AS (k:int, v:int);
@@ -28,7 +29,14 @@ ROWS = [(i % 7, (i * 13) % 50 or None) for i in range(400)]
 
 
 def make_controller(
-    fault_plan=None, r=4, n=1, nodes=12, timeout=60.0, max_reruns=3, threshold=0.95
+    fault_plan=None,
+    r=4,
+    n=1,
+    nodes=12,
+    timeout=60.0,
+    max_reruns=3,
+    threshold=0.95,
+    telemetry=None,
 ):
     config = SystemConfig(
         cluster=ClusterConfig(num_nodes=nodes, slots_per_node=3, heartbeat_period=0.5),
@@ -41,7 +49,9 @@ def make_controller(
             suspicion_threshold=threshold,
         ),
     )
-    controller = ClusterBFTController(config, fault_plan=fault_plan, block_bytes=4096)
+    controller = ClusterBFTController(
+        config, fault_plan=fault_plan, block_bytes=4096, telemetry=telemetry
+    )
     controller.load_input("in", records_from_rows(ROWS))
     return controller
 
@@ -59,6 +69,19 @@ class TestModes:
         result = controller.run_single(SCRIPT)
         assert result.metrics.digest_bytes > 0
         assert result.metrics.verification_comparisons == 0
+
+    @pytest.mark.parametrize("mode", ["plain", "single"])
+    def test_unverified_run_is_traced_and_metered_under_its_mode(self, mode):
+        telemetry = Telemetry.recording()
+        controller = make_controller(telemetry=telemetry)
+        getattr(controller, f"run_{mode}")(SCRIPT)
+        (span,) = [
+            r
+            for r in telemetry.export_records()
+            if r["type"] == "span" and r["name"] == "run"
+        ]
+        assert span["attrs"]["mode"] == mode
+        assert telemetry.metrics.counter_value("runs_total", mode=mode) == 1
 
     def test_assured_run_no_faults(self):
         controller = make_controller()

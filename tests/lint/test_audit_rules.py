@@ -5,6 +5,7 @@ from pathlib import Path
 
 from repro.lint.flow.audit_rules import run_audit_check
 from repro.lint.flow.callgraph import build_project
+from tests.lint.test_wal_rules import deep_findings, mutate
 
 ATTRIBUTED = '''\
 class Controller:
@@ -86,3 +87,23 @@ def test_mutations_outside_the_window_are_not_flagged(tmp_path):
 def test_no_generator_no_findings(tmp_path):
     source = SILENT_MUTATION.replace("yield self.settle()", "return self.settle()")
     assert run_audit_check(graph_for(tmp_path, source)) == []
+
+
+def test_real_tree_unattributed_fault_record_trips_aud001(real_tree):
+    # The controller's one FAULT audit call sits in a phase helper; the
+    # finding proves the phases stay reachable from the generator.
+    mutate(
+        real_tree,
+        "core/controller.py",
+        "            **late_marker,\n            **self.audit_context,\n",
+        "            **late_marker,\n",
+    )
+    findings = deep_findings(real_tree, "AUD001")
+    assert findings, "dropping the FAULT attribution must trip AUD001"
+    assert {d.symbol for d in findings} == {
+        "repro.core.controller.ClusterBFTController._record_fault"
+    }
+    assert all(
+        d.chain[0] == "repro.core.controller.ClusterBFTController._assured_steps"
+        for d in findings
+    )

@@ -3,17 +3,11 @@ seeded-mutation contract on the real tree: deleting a replay branch,
 reading a replay-only field, or injecting a wall clock into a digest
 path must each be caught."""
 
-import shutil
 from pathlib import Path
-
-import pytest
 
 from repro.lint.flow.callgraph import build_project
 from repro.lint.flow.deep import deep_lint
 from repro.lint.flow.walcheck import discover_surfaces, run_walcheck
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 WAL_MODULE = '''\
 HEADER = "header"
@@ -197,13 +191,6 @@ def test_handler_scoping_ignores_durability_policy(tmp_path):
 # ---------------------------------------------------------------------------
 # seeded mutations on the real tree
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture()
-def real_tree(tmp_path):
-    target = tmp_path / "repro"
-    shutil.copytree(SRC_REPRO, target, ignore=shutil.ignore_patterns("__pycache__"))
-    return target
 
 
 def mutate(tree: Path, rel: str, old: str, new: str) -> None:
