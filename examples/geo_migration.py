@@ -8,8 +8,9 @@ out: a synced ``reconfig`` WAL record, quarantined members, evacuated
 in-flight tasks — while the run still ends assured.  See DESIGN.md
 section 13.
 
-``repro run`` has no region flags, so CI's geo kill-and-resume job
-drives this script instead::
+``repro run`` has no region flags, so the ``geo`` case of the
+SIGKILL-and-resume test in ``tests/core/test_cli.py`` drives this
+script instead::
 
     python examples/geo_migration.py run ref.wal ref.json
     python examples/geo_migration.py reconfig-seq ref.wal   # -> seq

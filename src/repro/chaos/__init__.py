@@ -1,18 +1,9 @@
 """Chaos campaign harness.
 
 Sweeps a matrix of Byzantine fault scenarios across seeds on the full
-assured-execution stack and checks declarative safety / liveness /
-degradation invariants against each run:
-
-* ``SAFE1`` — no tampered record reaches a verified sink;
-* ``SAFE2`` — the verifier never silently matched digests from
-  divergent stored outputs (every divergence among digest-quorum
-  winners is detected and audited as an equivocation fault);
-* ``LIVE1`` — every script run terminates within the rerun budget with
-  an explicit verdict;
-* ``LIVE2`` — attribution converges: the suspect set ends up a superset
-  of the planted culprits the scenario expects attributed;
-* ``DEGR1`` — quarantined nodes receive no new task attempts.
+assured-execution stack and checks declarative safety, liveness,
+degradation, durability, regional, tenancy, alerting and checkpoint
+invariants against each cell (catalogue: :mod:`repro.chaos.invariants`).
 
 Entry points: :func:`repro.chaos.runner.run_campaign` and the
 ``repro chaos run`` CLI (:mod:`repro.chaos.cli`).

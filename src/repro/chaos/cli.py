@@ -2,11 +2,11 @@
 
 Examples::
 
-    # the default matrix, three seeds, report to stdout
-    python -m repro chaos run --scenarios default --seeds 3
+    # every non-weakened scenario, three seeds, report to stdout
+    python -m repro chaos run --seeds 3
 
-    # CI smoke campaign with streamed traces and a report file
-    python -m repro chaos run --scenarios smoke --seeds 2 \\
+    # the CI campaign: streamed traces and a report file
+    python -m repro chaos run --seeds 2 \\
         --report chaos-report.json --trace-dir chaos-traces
 
     # a hand-picked subset
@@ -38,8 +38,8 @@ def add_chaos_parser(sub) -> None:
         "--campaign",
         dest="scenarios",
         default="default",
-        help="campaign name (default, smoke, durability, service, geo, "
-        "obs, ckpt) or comma-joined scenario names",
+        help=f"campaign name ({', '.join(CAMPAIGNS)}) or comma-joined "
+        "scenario names",
     )
     run.add_argument(
         "--seeds",
@@ -120,19 +120,17 @@ def _cmd_chaos_run(args) -> int:
             extras.append(f"crashed={','.join(cell['crashes_detected'])}")
         if any(cell.get("exhausted", ())):
             extras.append("exhausted")
-        durability = cell.get("durability")
-        if durability:
+        sweep = cell.get("crash_sweep")
+        if sweep:
             extras.append(
-                f"ctl-crashes={durability['crash_points']} "
-                f"resumed={durability['resumed_assured']}"
+                f"ctl-crashes={sweep['crash_points']} "
+                f"resumed={sweep['resumed_assured']}"
             )
-        ckpt = cell.get("ckpt")
-        if ckpt:
-            extras.append(
-                f"ckpts={ckpt['checkpoint_records']} "
-                f"ckpt-crashes={ckpt['crash_points']} "
-                f"ckpt-replayed={ckpt['checkpoints_replayed']}"
-            )
+            if sweep["checkpoint_records"]:
+                extras.append(
+                    f"ckpts={sweep['checkpoint_records']} "
+                    f"ckpt-replayed={sweep['checkpoints_replayed']}"
+                )
         suffix = f"  [{' '.join(extras)}]" if extras else ""
         print(f"  {status} {cell['scenario']:<16} seed={cell['seed']}{suffix}")
         for violation in cell["violations"]:

@@ -26,10 +26,10 @@ Invariant ids (stable — referenced by reports, tests and DESIGN.md):
     Quarantined nodes receive no new task attempts after the
     quarantine's audit timestamp.
 ``DUR1``
-    Crash-resume equivalence: a run killed at any journaled decision
-    point and resumed from its WAL publishes byte-identical outputs
-    (and the same assured verdict) as the uninterrupted journaled run
-    with the same seed.
+    Crash-resume equivalence: a run killed right after *any* journal
+    record became durable and resumed from its WAL publishes
+    byte-identical outputs (and the same assured verdict) as the
+    uninterrupted journaled run with the same seed.
 ``REG1``
     Regional resilience: runs stay assured and terminate despite
     losing (or migrating away from) a minority region — every node of
@@ -54,13 +54,12 @@ Invariant ids (stable — referenced by reports, tests and DESIGN.md):
     same deployment — alerts detect injected faults without false
     positives.
 ``CKPT1``
-    Checkpointed rerun equivalence: a checkpointed run publishes
-    byte-identical outputs to its checkpoint-free twin (checkpoints
-    change recovery granularity, never results), and a crash-resume
-    at *every checkpoint boundary* — right after each ``checkpoint``
-    WAL record became durable, and right after the record following
-    it — restores from the checkpoint and still publishes the same
-    bytes with the same assured verdict.
+    Checkpointed rerun equivalence, on top of DUR1's sweep of a
+    checkpointed scenario: the run journaled at least one
+    ``checkpoint`` record, it publishes byte-identical outputs (and
+    verdict) to its checkpoint-free twin — checkpoints change recovery
+    granularity, never results — and every crash that landed on a
+    ``checkpoint`` record replayed at least one checkpoint on resume.
 """
 
 from __future__ import annotations
@@ -116,57 +115,32 @@ class DurabilityCell:
     kind: str  # journal record kind the crash landed on
     start_attempt: int
     commits_replayed: int
+    checkpoints_replayed: int
     assured: bool
     exhausted: bool
     #: Canonical published outputs of the resumed run (per logical
-    #: path, as tuples of encoded record bytes — bag-order free).
+    #: path, encoded record bytes in published order).
     outputs: dict[str, tuple[bytes, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class DurabilityProbe:
-    """A full crash sweep plus its uninterrupted reference run."""
+    """A full crash sweep plus its uninterrupted reference run and,
+    for checkpointed scenarios, the reference's checkpoint-free twin
+    (``twin_outputs`` is ``None`` when no twin ran)."""
 
     reference_assured: bool
     reference_outputs: dict[str, tuple[bytes, ...]]
     cells: tuple[DurabilityCell, ...] = ()
-
-
-@dataclass(frozen=True)
-class CkptCell:
-    """One crash point of a checkpoint-boundary sweep: the run was
-    killed right after journal record ``seq`` became durable (``seq``
-    is a ``checkpoint`` record or the record immediately following
-    one), then resumed from the WAL."""
-
-    seq: int
-    kind: str  # journal record kind the crash landed on
-    start_attempt: int
-    commits_replayed: int
-    checkpoints_replayed: int
-    assured: bool
-    exhausted: bool
-    #: Canonical published outputs of the resumed run.
-    outputs: dict[str, tuple[bytes, ...]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CkptProbe:
-    """A checkpoint-boundary crash sweep plus its two uninterrupted
-    reference runs: the checkpointed run itself and a checkpoint-free
-    twin of the same scenario + seed."""
-
-    reference_assured: bool
-    reference_outputs: dict[str, tuple[bytes, ...]]
-    twin_assured: bool
-    twin_outputs: dict[str, tuple[bytes, ...]]
     #: Number of ``checkpoint`` records the reference run journaled.
     checkpoint_records: int = 0
-    cells: tuple[CkptCell, ...] = ()
+    twin_assured: bool | None = None
+    twin_outputs: dict[str, tuple[bytes, ...]] | None = None
 
 
 def canonical_outputs(outputs: dict[str, list[Record]]) -> dict[str, tuple[bytes, ...]]:
-    """Encode published outputs for order-insensitive byte comparison."""
+    """Encode published outputs for byte comparison.  Record order is
+    kept: every checker compares outputs in published order."""
     return {
         path: tuple(encode_record(record) for record in records)
         for path, records in outputs.items()
@@ -184,11 +158,8 @@ class RunContext:
     records: list[dict] = field(default_factory=list)  # trace records
     trace_name: str | None = None
     #: Control-tier crash sweep results (scenarios with
-    #: ``control_crashes``); ``None`` when the sweep did not run.
+    #: ``crash_sweep``); ``None`` when the sweep did not run.
     durability: DurabilityProbe | None = None
-    #: Checkpoint-boundary crash sweep results (scenarios with
-    #: ``ckpt_sweep``); ``None`` when the sweep did not run.
-    ckpt: CkptProbe | None = None
     #: Trace records of the telemetry-enabled fault-free twin (only
     #: populated when the scenario declares ``expected_alerts``).
     twin_records: list[dict] = field(default_factory=list)
@@ -520,18 +491,18 @@ def check_obs1(ctx: RunContext) -> list[Violation]:
 
 def check_ckpt1(ctx: RunContext) -> list[Violation]:
     """Checkpointed execution must be invisible in the results: the
-    checkpointed run equals its checkpoint-free twin byte-for-byte,
-    and resuming from a crash at any checkpoint boundary restores the
-    committed prefix and converges to the same outputs and verdict."""
-    probe = ctx.ckpt
-    if probe is None:
+    tier engaged, the checkpointed run equals its checkpoint-free twin
+    byte-for-byte, and a crash on a durable checkpoint resumed from it.
+    (Every crash point's resumed outputs and verdict are DUR1's.)"""
+    probe = ctx.durability
+    if probe is None or probe.twin_outputs is None:
         return []
     violations = []
     if probe.checkpoint_records == 0:
         violations.append(
             Violation(
                 CKPT1,
-                "checkpoint sweep found no checkpoint WAL records — the "
+                "crash sweep found no checkpoint WAL records — the "
                 "checkpoint tier never engaged for this scenario",
                 ctx.ref("checkpoints=0"),
             )
@@ -548,7 +519,7 @@ def check_ckpt1(ctx: RunContext) -> list[Violation]:
         )
     for path, expected in probe.twin_outputs.items():
         got = probe.reference_outputs.get(path, ())
-        if sorted(got) != sorted(expected):
+        if got != expected:
             violations.append(
                 Violation(
                     CKPT1,
@@ -569,28 +540,6 @@ def check_ckpt1(ctx: RunContext) -> list[Violation]:
                     ctx.ref(f"seq={cell.seq}"),
                 )
             )
-        if cell.assured != probe.reference_assured:
-            violations.append(
-                Violation(
-                    CKPT1,
-                    f"crash at seq {cell.seq} ({cell.kind}): resumed run "
-                    f"reported assured={cell.assured}, uninterrupted run "
-                    f"reported assured={probe.reference_assured}",
-                    ctx.ref(f"seq={cell.seq}"),
-                )
-            )
-        for path, expected in probe.reference_outputs.items():
-            got = cell.outputs.get(path, ())
-            if got != expected:
-                violations.append(
-                    Violation(
-                        CKPT1,
-                        f"crash at seq {cell.seq} ({cell.kind}): resumed "
-                        f"output {path!r} diverges from the uninterrupted "
-                        f"run ({len(got)} vs {len(expected)} records)",
-                        ctx.ref(f"seq={cell.seq},sink={path}"),
-                    )
-                )
     return violations
 
 
@@ -666,7 +615,7 @@ def check_ten1(ctx: ServiceRunContext) -> list[Violation]:
             continue
         got = canonical_outputs(ctx.result.outputs.get(run.run_id, {}))
         for path, expected in truth.items():
-            if sorted(got.get(path, ())) != sorted(expected):
+            if got.get(path, ()) != expected:
                 violations.append(
                     Violation(
                         TEN1,

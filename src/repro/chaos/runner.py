@@ -17,8 +17,6 @@ import random
 import tempfile
 
 from repro.chaos.invariants import (
-    CkptCell,
-    CkptProbe,
     DurabilityCell,
     DurabilityProbe,
     RunContext,
@@ -144,13 +142,25 @@ def run_durability_probe(scenario: Scenario, seed: int) -> DurabilityProbe:
     """Control-tier crash sweep: run once journaled and uninterrupted,
     then once per journal record with the control tier dying right
     after that record becomes durable, resuming each crash from its
-    WAL.  Every resumed run is compared (by the ``DUR1`` checker)
-    against the uninterrupted reference."""
+    WAL.  Every checkpoint boundary is a journal record, so the sweep
+    covers them all.  A checkpointed scenario also runs its
+    checkpoint-free twin.  ``DUR1`` compares every resumed run against
+    the uninterrupted reference; ``CKPT1`` compares the reference
+    against the twin."""
     cells = []
+    twin = None
     with tempfile.TemporaryDirectory(prefix="repro-durability-") as tmp:
         reference_path = os.path.join(tmp, "reference.wal")
         reference = _journaled_run(scenario, seed, reference_path)
         records, _ = wal.read_journal(reference_path)
+        if scenario.checkpoints:
+            # The twin differs in exactly one bit of configuration, so
+            # any output difference is the checkpoint tier's fault.
+            twin = _journaled_run(
+                dataclasses.replace(scenario, checkpoints=False),
+                seed,
+                os.path.join(tmp, "twin.wal"),
+            )
         for crash_seq in range(1, records[-1]["seq"] + 1):
             crash_path = os.path.join(tmp, f"crash-{crash_seq:04d}.wal")
             try:
@@ -170,6 +180,7 @@ def run_durability_probe(scenario: Scenario, seed: int) -> DurabilityProbe:
                     kind=records[crash_seq]["kind"],
                     start_attempt=recovered.start_attempt,
                     commits_replayed=recovered.commits_replayed,
+                    checkpoints_replayed=recovered.checkpoints_replayed,
                     assured=recovered.result.assured,
                     exhausted=recovered.result.exhausted,
                     outputs=canonical_outputs(recovered.result.outputs),
@@ -179,72 +190,11 @@ def run_durability_probe(scenario: Scenario, seed: int) -> DurabilityProbe:
         reference_assured=reference.assured,
         reference_outputs=canonical_outputs(reference.outputs),
         cells=tuple(cells),
-    )
-
-
-def run_ckpt_probe(scenario: Scenario, seed: int) -> CkptProbe:
-    """Checkpoint-boundary crash sweep: run once journaled and
-    uninterrupted, run a checkpoint-free twin of the same cell, then
-    crash the control tier right after every ``checkpoint`` record
-    (and the record immediately following it — the boundary where the
-    checkpoint is durable but the next decision is not) and resume
-    each crash from its WAL.  The ``CKPT1`` checker compares every
-    resumed run against the uninterrupted reference and the reference
-    against the twin."""
-    fault_plan = build_fault_plan(scenario, _node_ids(scenario))
-    cells = []
-    with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as tmp:
-        reference_path = os.path.join(tmp, "reference.wal")
-        reference = _journaled_run(scenario, seed, reference_path)
-        records, _ = wal.read_journal(reference_path)
-        last_seq = records[-1]["seq"]
-        checkpoint_seqs = [
-            record["seq"] for record in records if record["kind"] == wal.CHECKPOINT
-        ]
-        boundaries = sorted(
-            {
-                seq
-                for checkpoint_seq in checkpoint_seqs
-                for seq in (checkpoint_seq, checkpoint_seq + 1)
-                if seq <= last_seq
-            }
-        )
-        # The twin differs in exactly one bit of configuration — the
-        # checkpoint tier is off — so any output difference is the
-        # checkpoint tier's fault, not placement's or the workload's.
-        twin_scenario = dataclasses.replace(
-            scenario, checkpoints=False, ckpt_sweep=False
-        )
-        twin = _journaled_run(twin_scenario, seed, os.path.join(tmp, "twin.wal"))
-        for crash_seq in boundaries:
-            crash_path = os.path.join(tmp, f"crash-{crash_seq:04d}.wal")
-            try:
-                _journaled_run(
-                    scenario, seed, crash_path, crash_hook=wal.crash_at(crash_seq)
-                )
-                continue  # hook never fired (run shorter than reference)
-            except wal.ControlTierCrash:
-                pass
-            recovered = resume_run(crash_path, fault_plan=fault_plan)
-            cells.append(
-                CkptCell(
-                    seq=crash_seq,
-                    kind=records[crash_seq]["kind"],
-                    start_attempt=recovered.start_attempt,
-                    commits_replayed=recovered.commits_replayed,
-                    checkpoints_replayed=recovered.checkpoints_replayed,
-                    assured=recovered.result.assured,
-                    exhausted=recovered.result.exhausted,
-                    outputs=canonical_outputs(recovered.result.outputs),
-                )
-            )
-    return CkptProbe(
-        reference_assured=reference.assured,
-        reference_outputs=canonical_outputs(reference.outputs),
-        twin_assured=twin.assured,
-        twin_outputs=canonical_outputs(twin.outputs),
-        checkpoint_records=len(checkpoint_seqs),
-        cells=tuple(cells),
+        checkpoint_records=sum(
+            1 for record in records if record["kind"] == wal.CHECKPOINT
+        ),
+        twin_assured=None if twin is None else twin.assured,
+        twin_outputs=None if twin is None else canonical_outputs(twin.outputs),
     )
 
 
@@ -284,9 +234,8 @@ def run_one(
 
     truth = _reference_truth(scenario, seed)
     durability = (
-        run_durability_probe(scenario, seed) if scenario.control_crashes else None
+        run_durability_probe(scenario, seed) if scenario.crash_sweep else None
     )
-    ckpt = run_ckpt_probe(scenario, seed) if scenario.ckpt_sweep else None
     # OBS1 needs a *traced* fault-free twin: same deployment and
     # workload, no fault plan, telemetry on — expected alerts must stay
     # silent over its records.
@@ -311,7 +260,6 @@ def run_one(
         records=records,
         trace_name=trace_name,
         durability=durability,
-        ckpt=ckpt,
         twin_records=twin_records,
     )
     return ctx, check_all(ctx)
@@ -322,6 +270,20 @@ def _fired_alerts(records: list[dict]) -> list[str]:
     from repro.telemetry.slo import evaluate
 
     return sorted({firing.rule for firing in evaluate(records)})
+
+
+def _sweep_report(probe: DurabilityProbe | None) -> dict | None:
+    if probe is None:
+        return None
+    cells = probe.cells
+    return {
+        "crash_points": len(cells),
+        "kinds": sorted({cell.kind for cell in cells}),
+        "resumed_assured": sum(1 for cell in cells if cell.assured),
+        "commits_replayed": sum(cell.commits_replayed for cell in cells),
+        "checkpoint_records": probe.checkpoint_records,
+        "checkpoints_replayed": sum(cell.checkpoints_replayed for cell in cells),
+    }
 
 
 def _cell_report(
@@ -341,38 +303,7 @@ def _cell_report(
         "exhausted": [bool(r.exhausted) for r in ctx.results],
         "attempts": [r.attempts for r in ctx.results],
         "latency": [round(r.latency, 6) for r in ctx.results],
-        "durability": (
-            None
-            if ctx.durability is None
-            else {
-                "crash_points": len(ctx.durability.cells),
-                "commits_replayed": sum(
-                    cell.commits_replayed for cell in ctx.durability.cells
-                ),
-                "resumed_assured": sum(
-                    1 for cell in ctx.durability.cells if cell.assured
-                ),
-                "kinds": sorted({cell.kind for cell in ctx.durability.cells}),
-            }
-        ),
-        "ckpt": (
-            None
-            if ctx.ckpt is None
-            else {
-                "checkpoint_records": ctx.ckpt.checkpoint_records,
-                "crash_points": len(ctx.ckpt.cells),
-                "checkpoints_replayed": sum(
-                    cell.checkpoints_replayed for cell in ctx.ckpt.cells
-                ),
-                "commits_replayed": sum(
-                    cell.commits_replayed for cell in ctx.ckpt.cells
-                ),
-                "resumed_assured": sum(
-                    1 for cell in ctx.ckpt.cells if cell.assured
-                ),
-                "kinds": sorted({cell.kind for cell in ctx.ckpt.cells}),
-            }
-        ),
+        "crash_sweep": _sweep_report(ctx.durability),
         "reruns": len(audit.events(kind=RERUN)),
         "quarantined": sorted(
             {e.subject for e in audit.events(kind=QUARANTINE)}
@@ -474,8 +405,7 @@ def _service_cell_report(
         "exhausted": [bool(run.exhausted) for run in result.runs],
         "attempts": [run.attempts for run in result.runs],
         "latency": [round(run.latency, 6) for run in result.runs],
-        "durability": None,
-        "ckpt": None,
+        "crash_sweep": None,
         "reruns": len(audit.events(kind=RERUN)),
         "quarantined": sorted(
             {e.subject for e in audit.events(kind=QUARANTINE)}

@@ -99,9 +99,11 @@ class Scenario:
     #: Control-tier crash sweep: run the cell once journaled and
     #: uninterrupted, then once per journal record with the control
     #: tier crashing right after that record — resuming each crash and
-    #: checking the ``DUR1`` invariant (resume ≡ uninterrupted).
-    #: Durability cells imply one script run per journal (``runs=1``).
-    control_crashes: bool = False
+    #: checking the ``DUR1`` invariant (resume ≡ uninterrupted).  With
+    #: ``checkpoints`` on, a checkpoint-free twin runs too and ``CKPT1``
+    #: holds the checkpoint tier invisible.  The sweep journals one
+    #: script run (``runs=1``).
+    crash_sweep: bool = False
     #: Checkpoint tier: commit verified sub-graph outputs eagerly at
     #: verdict time (``ClusterBFTConfig.checkpoints``) so reruns and
     #: resumes restart from the last verified checkpoint.
@@ -113,12 +115,6 @@ class Scenario:
     #: Cap on verifier timeout escalation
     #: (``ClusterBFTConfig.max_verifier_timeout``).
     max_verifier_timeout: float | None = None
-    #: Checkpoint-boundary crash sweep: run the cell once journaled and
-    #: uninterrupted plus a checkpoint-free twin, then crash + resume
-    #: at every ``checkpoint`` WAL record (and the record after it),
-    #: checking the ``CKPT1`` invariant (checkpointed rerun ≡ full
-    #: rerun, byte-identical).  Implies ``runs=1``.
-    ckpt_sweep: bool = False
     # -- expectations the invariant checkers consume ---------------------
     #: Every script run must end assured (LIVE1 folds this in).
     expect_assured: bool = True
@@ -353,7 +349,7 @@ def _scenario_list() -> list[Scenario]:
             "kill the trusted tier after every journaled decision point, "
             "resume from the WAL, require byte-identical outputs (DUR1)",
             faults=(FaultSpec("commission", 2, (("probability", 0.8),)),),
-            control_crashes=True,
+            crash_sweep=True,
             attributed_nodes=(2,),
         ),
         Scenario(
@@ -364,7 +360,7 @@ def _scenario_list() -> list[Scenario]:
             "and the resume path restores mid-escalation state",
             faults=(FaultSpec("omission", 3, (("probability", 0.5),)),),
             verifier_timeout=1.5,
-            control_crashes=True,
+            crash_sweep=True,
         ),
         Scenario(
             name="ctl-crash-final",
@@ -374,45 +370,45 @@ def _scenario_list() -> list[Scenario]:
             "start_attempt past max_reruns — the fully-settled snapshot "
             "must still be judged assured (DUR1), not read as exhaustion",
             max_reruns=0,
-            control_crashes=True,
+            crash_sweep=True,
         ),
         Scenario(
             name="ckpt-baseline",
-            description="checkpoint-boundary crash sweep on a fault-free "
-            "checkpointed run: every verified sub-graph commits eagerly "
-            "at verdict time, the sweep kills the control tier right "
-            "after each checkpoint record (and the record following it) "
-            "and the resume must restore the committed prefix and "
-            "publish bytes identical to a checkpoint-free twin (CKPT1)",
+            description="crash sweep on a fault-free checkpointed run: "
+            "every verified sub-graph commits eagerly at verdict time, "
+            "the sweep kills the control tier after every journal record "
+            "(each checkpoint record included), a crash on a checkpoint "
+            "must restore from it, and the run must publish bytes "
+            "identical to a checkpoint-free twin (DUR1, CKPT1)",
             checkpoints=True,
-            ckpt_sweep=True,
+            crash_sweep=True,
         ),
         Scenario(
             name="ckpt-omission",
-            description="checkpoint-boundary crash sweep under rerun "
+            description="checkpointed crash sweep under rerun "
             "escalation: a verifier timeout below the first attempt's "
             "latency forces several attempts, so checkpoints committed "
             "mid-attempt shrink each rerun's closure while the timeout "
             "escalation hits its configured cap — crash-resume at every "
-            "checkpoint boundary must still equal the full rerun (CKPT1)",
+            "journal record must still equal the full rerun (DUR1, CKPT1)",
             faults=(FaultSpec("omission", 3, (("probability", 0.5),)),),
             verifier_timeout=1.5,
             max_verifier_timeout=6.0,
             checkpoints=True,
-            ckpt_sweep=True,
+            crash_sweep=True,
         ),
         Scenario(
             name="ckpt-density",
             description="expected-rerun-cost placement plus checkpointing "
             "under an omission fault: verification points are chosen by "
             "checkpoint_density instead of the paper's fixed-count "
-            "marker, and the checkpoint-boundary sweep must still match "
-            "the checkpoint-free twin byte-for-byte (CKPT1)",
+            "marker, and the crash sweep must still match the "
+            "checkpoint-free twin byte-for-byte (DUR1, CKPT1)",
             faults=(FaultSpec("omission", 3, (("probability", 0.5),)),),
             verifier_timeout=1.5,
             checkpoints=True,
             checkpoint_density=0.5,
-            ckpt_sweep=True,
+            crash_sweep=True,
         ),
         Scenario(
             name="geo-baseline",
@@ -472,7 +468,7 @@ def _scenario_list() -> list[Scenario]:
             wan_latency_seconds=0.25,
             region_suspicion_threshold=0.2,
             region_min_jobs=2,
-            control_crashes=True,
+            crash_sweep=True,
             attributed_nodes=(8,),
         ),
         Scenario(
@@ -589,21 +585,16 @@ def _service_scenario_list() -> list[ServiceScenario]:
 SCENARIOS: dict[str, Scenario] = {s.name: s for s in _scenario_list()}
 SCENARIOS.update({s.name: s for s in _service_scenario_list()})
 
-DEFAULT_CAMPAIGN = (
-    "baseline",
-    "commission",
-    "omission",
-    "crash",
-    "equivocate",
-    "storage-rot",
-    "quarantine",
-    "net-drop",
-    "net-delay",
-    "combo",
-    "exhaustion",
+#: Every scenario that is not deliberately weakened: each invariant
+#: family rides the default campaign, and a new scenario joins it by
+#: being declared.
+DEFAULT_CAMPAIGN = tuple(
+    name
+    for name, scenario in SCENARIOS.items()
+    if not getattr(scenario, "expected_violations", ())
 )
 
-#: CI-sized campaign: small, fast, still covers every fault family.
+#: Quick campaign: small, fast, still covers every node-fault family.
 SMOKE_CAMPAIGN = (
     "baseline",
     "commission",
@@ -648,10 +639,9 @@ OBS_CAMPAIGN = (
     "obs-quarantine",
 )
 
-#: Checkpoint campaign: crash-sweeps through every checkpoint boundary
-#: plus checkpoint-free twin comparisons (the ``CKPT1`` acceptance
-#: demo), under fault-free, escalating-rerun and density-placement
-#: cells.
+#: Checkpoint campaign: crash sweeps of checkpointed runs plus
+#: checkpoint-free twin comparisons (the ``CKPT1`` acceptance demo),
+#: under fault-free, escalating-rerun and density-placement cells.
 CKPT_CAMPAIGN = (
     "ckpt-baseline",
     "ckpt-omission",

@@ -415,8 +415,9 @@ def make_controller(args, telemetry=None, journal=None) -> ClusterBFTController:
 
 
 def _env_kill_hook():
-    """Chaos seam for the CI kill-and-resume job: with
-    ``REPRO_JOURNAL_KILL_AT=<seq>`` in the environment, the process
+    """Real-crash seam, driven by ``tests/core/test_cli.py::
+    TestJournalAndResume::test_resume_after_sigkill_byte_identical``:
+    with ``REPRO_JOURNAL_KILL_AT=<seq>`` in the environment, the process
     SIGKILLs itself right after journal record ``<seq>`` becomes
     durable — a real, unhandleable control-tier death."""
     value = os.environ.get("REPRO_JOURNAL_KILL_AT")
@@ -438,7 +439,8 @@ def _env_kill_hook():
 
 def _write_outputs_json(path: str, result) -> None:
     """Canonical, deterministic outputs artifact (atomic write): the
-    byte-comparison target of the CI kill-and-resume job."""
+    byte-comparison target of the SIGKILL-and-resume test in
+    ``tests/core/test_cli.py``."""
     payload = {
         "assured": bool(result.assured),
         "exhausted": bool(result.exhausted),

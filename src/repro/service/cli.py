@@ -11,8 +11,8 @@ Three entry modes:
   embedded in the ledger header against the durable prefix.
 
 ``--ledger`` makes the run durable (and byte-reproducible: two runs of
-one trace produce identical ledgers — the CI ``serve-smoke`` job
-byte-compares them).  ``--bench`` prints the traffic summary as JSON
+one trace produce identical ledgers, and a SIGKILLed run resumes to the
+uninterrupted ledger's bytes — ``tests/core/test_cli.py`` checks it).  ``--bench`` prints the traffic summary as JSON
 for scripting.
 """
 

@@ -1,9 +1,16 @@
-"""Chaos-harness durability tests: the DUR1 crash sweep."""
+"""Chaos-harness durability tests: the crash sweep behind DUR1 and
+CKPT1."""
+
+import dataclasses
+
+import pytest
 
 from repro.chaos.invariants import (
+    CKPT1,
     DurabilityCell,
     DurabilityProbe,
     RunContext,
+    check_ckpt1,
     check_dur1,
 )
 from repro.chaos.runner import run_durability_probe, run_one
@@ -61,54 +68,131 @@ class TestCtlCrashSweep:
         assert wal.ATTEMPT_END in kinds
         resumed_later = [c for c in probe.cells if c.start_attempt > 0]
         assert resumed_later, "no crash resumed past the first attempt"
+        # Checkpoint-free scenarios run no twin and replay no checkpoint.
+        assert probe.twin_outputs is None and probe.checkpoint_records == 0
+        assert all(cell.checkpoints_replayed == 0 for cell in probe.cells)
+
+
+class TestCkptSweep:
+    def test_every_checkpoint_boundary_is_swept(self):
+        """The merged sweep crashes after every journal record, so each
+        ``checkpoint`` record and the record after it are crash points,
+        and every crash on a checkpoint restores from it."""
+        ctx, violations = run_one(SCENARIOS["ckpt-baseline"], 1)
+        assert violations == []
+        probe = ctx.durability
+        assert probe.checkpoint_records >= 1
+        assert probe.twin_outputs == probe.reference_outputs
+        swept = {cell.seq for cell in probe.cells}
+        assert swept == set(range(1, max(swept) + 1))
+        on_checkpoint = [c for c in probe.cells if c.kind == wal.CHECKPOINT]
+        assert len(on_checkpoint) == probe.checkpoint_records
+        assert {c.seq + 1 for c in on_checkpoint} <= swept
+        assert all(c.checkpoints_replayed >= 1 for c in on_checkpoint)
+
+
+OUTPUTS = {"out": (b"a", b"b")}
+
+
+def fake_cell(assured=True, outputs=OUTPUTS, kind=wal.VERDICT, replayed=0):
+    return DurabilityCell(
+        seq=3,
+        kind=kind,
+        start_attempt=0,
+        commits_replayed=0,
+        checkpoints_replayed=replayed,
+        assured=assured,
+        exhausted=False,
+        outputs=outputs,
+    )
+
+
+def fake_ctx(probe):
+    return RunContext(
+        scenario=SCENARIOS["ctl-crash"],
+        controller=None,
+        results=[],
+        truth={},
+        durability=probe,
+    )
 
 
 class TestDur1Checker:
     def probe(self, cells):
         return DurabilityProbe(
             reference_assured=True,
-            reference_outputs={"out": (b"a", b"b")},
+            reference_outputs=OUTPUTS,
             cells=tuple(cells),
         )
 
-    def ctx(self, probe):
-        return RunContext(
-            scenario=SCENARIOS["ctl-crash"],
-            controller=None,
-            results=[],
-            truth={},
-            durability=probe,
-        )
-
-    def cell(self, assured=True, outputs=None):
-        return DurabilityCell(
-            seq=3,
-            kind=wal.VERDICT,
-            start_attempt=0,
-            commits_replayed=0,
-            assured=assured,
-            exhausted=False,
-            outputs={"out": (b"a", b"b")} if outputs is None else outputs,
-        )
-
     def test_matching_cells_pass(self):
-        probe = self.probe([self.cell()])
-        assert check_dur1(self.ctx(probe)) == []
+        probe = self.probe([fake_cell()])
+        assert check_dur1(fake_ctx(probe)) == []
 
     def test_verdict_flip_is_a_violation(self):
-        probe = self.probe([self.cell(assured=False)])
-        violations = check_dur1(self.ctx(probe))
+        probe = self.probe([fake_cell(assured=False)])
+        violations = check_dur1(fake_ctx(probe))
         assert len(violations) == 1
         assert "assured" in violations[0].detail
 
     def test_output_divergence_is_a_violation(self):
-        probe = self.probe([self.cell(outputs={"out": (b"a", b"X")})])
-        violations = check_dur1(self.ctx(probe))
+        probe = self.probe([fake_cell(outputs={"out": (b"a", b"X")})])
+        violations = check_dur1(fake_ctx(probe))
         assert len(violations) == 1
         assert "diverges" in violations[0].detail
 
     def test_no_probe_means_no_violations(self):
-        assert check_dur1(self.ctx(None)) == []
+        assert check_dur1(fake_ctx(None)) == []
+
+
+#: A checkpointed probe that satisfies CKPT1: one checkpoint record, a
+#: twin equal to the reference, and a crash on the checkpoint that
+#: restored from it.
+CKPT_PROBE = DurabilityProbe(
+    reference_assured=True,
+    reference_outputs=OUTPUTS,
+    cells=(fake_cell(kind=wal.CHECKPOINT, replayed=1), fake_cell()),
+    checkpoint_records=1,
+    twin_assured=True,
+    twin_outputs=OUTPUTS,
+)
+
+
+class TestCkpt1Checker:
+    @pytest.mark.parametrize(
+        "change, detail",
+        [
+            ({}, None),
+            ({"checkpoint_records": 0, "twin_outputs": None}, None),
+            ({"checkpoint_records": 0}, "no checkpoint WAL records"),
+            ({"twin_assured": False}, "checkpoint-free twin reported"),
+            ({"twin_outputs": {"out": (b"a", b"X")}}, "diverges"),
+            ({"twin_outputs": {"out": (b"b", b"a")}}, "diverges"),
+            (
+                {"cells": (fake_cell(kind=wal.CHECKPOINT, replayed=0),)},
+                "replayed none",
+            ),
+        ],
+        ids=[
+            "holds",
+            "no-twin",
+            "no-checkpoints",
+            "twin-verdict",
+            "twin-content",
+            "twin-order",
+            "no-restore",
+        ],
+    )
+    def test_checkpoint_only_violations(self, change, detail):
+        probe = dataclasses.replace(CKPT_PROBE, **change)
+        violations = check_ckpt1(fake_ctx(probe))
+        if detail is None:
+            assert violations == []
+        else:
+            assert [v.invariant for v in violations] == [CKPT1]
+            assert detail in violations[0].detail
+        # Per-crash-point verdicts and outputs are DUR1's alone.
+        assert check_dur1(fake_ctx(probe)) == []
 
 
 class TestCampaignWiring:

@@ -27,6 +27,11 @@ class TestResolution:
         )
         assert [s.name for s in resolve_scenarios("smoke")] == list(SMOKE_CAMPAIGN)
 
+    def test_default_campaign_is_every_unweakened_scenario(self):
+        """The default campaign is derived, so every invariant family
+        (DUR1, CKPT1, REG1, TEN1, OBS1 included) rides it."""
+        assert set(DEFAULT_CAMPAIGN) == set(SCENARIOS) - {"weakened-safe1"}
+
     def test_comma_list_resolves_in_order(self):
         chosen = resolve_scenarios("crash, baseline")
         assert [s.name for s in chosen] == ["crash", "baseline"]

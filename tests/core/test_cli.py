@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from typing import NamedTuple
+
 import pytest
 
+import repro
 from repro.cli import _parse_cell, load_csv, main
 
 SCRIPT = """
@@ -11,6 +18,59 @@ G = GROUP B BY k;
 C = FOREACH G GENERATE group AS k, COUNT(B) AS n;
 STORE C INTO 'out';
 """
+
+#: Two MapReduce jobs, so a checkpoint lands mid-attempt.
+TWO_JOB_SCRIPT = SCRIPT.replace("STORE C INTO 'out';", """\
+H = GROUP C BY n;
+D = FOREACH H GENERATE group AS n, COUNT(C) AS m;
+STORE D INTO 'out';""")
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+_EXAMPLES = os.path.join(os.path.dirname(_SRC), "examples")
+_RUN = ("-m", "repro", "run", "{script}", "--input", "in={csv}",
+        "--nodes", "8", "--timeout", "30")
+_CKPT_RUN = ("-m", "repro", "run", "{two_job}", "--input", "in={csv}",
+             "--nodes", "8", "--checkpoints", "--checkpoint-density", "1.0",
+             "-n", "0")
+_GEO = os.path.join(_EXAMPLES, "geo_migration.py")
+
+
+class SigkillCase(NamedTuple):
+    """One real-SIGKILL entry point.  Arguments may name {script},
+    {two_job}, {csv}, {wal} (the journal or ledger) and {out} (the
+    outputs artifact)."""
+
+    command: tuple
+    reference_args: tuple  # appended for the uninterrupted run only
+    kill_at: int | str  # a seq, or the WAL kind whose first record is it
+    resume: tuple
+    compared: str  # "out" or "wal"
+    twin: tuple | None = None  # checkpoint-free run with equal outputs
+
+
+_RESUME = ("-m", "repro", "resume", "{wal}", "--outputs-json", "{out}")
+
+SIGKILL_CASES = {
+    "run": SigkillCase(
+        (*_RUN, "--journal", "{wal}"), ("--outputs-json", "{out}"), 5,
+        _RESUME, "out",
+    ),
+    "checkpoint": SigkillCase(
+        (*_CKPT_RUN, "--journal", "{wal}"), ("--outputs-json", "{out}"),
+        "checkpoint", _RESUME, "out",
+        twin=("-m", "repro", "run", "{two_job}", "--input", "in={csv}",
+              "--nodes", "8", "--outputs-json", "{out}"),
+    ),
+    "serve": SigkillCase(
+        ("-m", "repro", "serve", os.path.join(_EXAMPLES, "tenants.json"),
+         "--ledger", "{wal}"), (), 30,
+        ("-m", "repro", "serve", "--resume", "--ledger", "{wal}"), "wal",
+    ),
+    "geo": SigkillCase(
+        (_GEO, "run", "{wal}"), ("{out}",), "reconfig",
+        (_GEO, "resume", "{wal}", "{out}"), "out",
+    ),
+}
 
 
 @pytest.fixture
@@ -111,43 +171,48 @@ class TestJournalAndResume:
         assert "journal   : complete" in out
         assert "assured   : True" in out
 
-    def test_resume_after_sigkill_byte_identical(self, workspace, tmp_path):
-        """Real crash: the run SIGKILLs itself at a journaled decision
-        point (REPRO_JOURNAL_KILL_AT seam), then `repro resume` must
-        republish exactly the uninterrupted run's outputs."""
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
+    @pytest.mark.parametrize("case", list(SIGKILL_CASES))
+    def test_resume_after_sigkill_byte_identical(self, case, workspace, tmp_path):
+        """Real crash: the process SIGKILLs itself right after a journal
+        or ledger record becomes durable (REPRO_JOURNAL_KILL_AT seam),
+        then resuming must republish exactly the uninterrupted run's
+        bytes — outputs for runs, the whole ledger for the service."""
+        spec = SIGKILL_CASES[case]
         script, csv = workspace
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        base = [sys.executable, "-m", "repro", "run", str(script),
-                "--input", f"in={csv}", "--nodes", "8", "--timeout", "30"]
+        two_job = tmp_path / "two_job.pig"
+        two_job.write_text(TWO_JOB_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=_SRC)
 
-        ref_json = tmp_path / "ref.json"
-        proc = subprocess.run(
-            base + ["--journal", str(tmp_path / "ref.wal"),
-                    "--outputs-json", str(ref_json)],
-            env=env, capture_output=True, text=True,
-        )
+        def python(args, wal, out, **extra_env):
+            argv = [sys.executable] + [
+                arg.format(script=script, csv=csv, two_job=two_job,
+                           wal=wal, out=out)
+                for arg in args
+            ]
+            return subprocess.run(argv, env=dict(env, **extra_env),
+                                  capture_output=True, text=True)
+
+        ref = {"wal": tmp_path / "ref.wal", "out": tmp_path / "ref.json"}
+        proc = python(spec.command + spec.reference_args, **ref)
         assert proc.returncode == 0, proc.stderr
+        kill_at = spec.kill_at
+        if isinstance(kill_at, str):
+            with open(ref["wal"]) as handle:
+                records = [json.loads(line) for line in handle]
+            kill_at = next(r["seq"] for r in records if r.get("kind") == kill_at)
 
-        crash_wal = tmp_path / "crash.wal"
-        proc = subprocess.run(
-            base + ["--journal", str(crash_wal)],
-            env=dict(env, REPRO_JOURNAL_KILL_AT="5"),
-            capture_output=True, text=True,
-        )
+        crash = {"wal": tmp_path / "crash.wal", "out": tmp_path / "resumed.json"}
+        proc = python(spec.command, **crash, REPRO_JOURNAL_KILL_AT=str(kill_at))
         assert proc.returncode == -9  # SIGKILL, not a clean exit
+        proc = python(spec.resume, **crash)
+        assert proc.returncode == 0, proc.stderr
+        assert crash[spec.compared].read_bytes() == ref[spec.compared].read_bytes()
 
-        resumed_json = tmp_path / "resumed.json"
-        assert main(
-            ["resume", str(crash_wal), "--outputs-json", str(resumed_json)]
-        ) == 0
-        assert resumed_json.read_bytes() == ref_json.read_bytes()
+        if spec.twin is not None:
+            # The checkpoint tier is invisible until a crash.
+            plain = tmp_path / "plain.json"
+            assert python(spec.twin, wal=None, out=plain).returncode == 0
+            assert plain.read_bytes() == ref["out"].read_bytes()
 
     def test_journal_requires_assured_mode(self, workspace, tmp_path):
         with pytest.raises(SystemExit, match="assured"):

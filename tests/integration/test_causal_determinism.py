@@ -174,3 +174,57 @@ class TestSigkillResumeWithCausalTrace:
         records, _warnings = read_jsonl_lenient(str(crash_trace))
         assert records, "expected a trace prefix from the killed run"
         build_causal(records)  # must not raise on the partial stream
+
+
+class TestCausalDoubleRunAcrossProcesses:
+    def test_causal_artifacts_byte_identical_across_processes(self, tmp_path):
+        """Two `repro run --causal` processes with different hash seeds
+        write byte-identical traces, causal analyses, flow exports and
+        alert firings; the analysis finds no orphans, and the traced
+        outputs equal an untraced run's."""
+        import os
+        import random
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = os.path.join(
+            os.path.dirname(src), "examples", "follower_analysis.pig"
+        )
+        rng = random.Random(7)
+        edges = tmp_path / "edges.csv"
+        edges.write_text(
+            "".join(f"{rng.randrange(50)},{rng.randrange(500)}\n" for _ in range(2000))
+        )
+
+        def repro_cli(hash_seed, *args):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *map(str, args)],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        run = ["run", script, "--input", f"twitter/followers={edges}"]
+        artifacts = {}
+        for hash_seed in ("1", "2"):
+            trace = tmp_path / f"causal-{hash_seed}.jsonl"
+            flow = tmp_path / f"flow-{hash_seed}.json"
+            outputs = tmp_path / f"outputs-{hash_seed}.json"
+            repro_cli(hash_seed, *run, "--trace", trace, "--causal",
+                      "--outputs-json", outputs)
+            analysis = repro_cli(hash_seed, "trace", trace, "--causal",
+                                 "--chrome-flow", flow)
+            alerts = repro_cli(hash_seed, "alerts", trace, "--format", "json")
+            artifacts[hash_seed] = (trace.read_bytes(), analysis,
+                                    flow.read_bytes(), alerts,
+                                    outputs.read_bytes())
+        assert artifacts["1"] == artifacts["2"]
+        assert "0 orphans" in artifacts["1"][1]
+
+        plain = tmp_path / "outputs-plain.json"
+        repro_cli("3", *run, "--outputs-json", plain)
+        assert plain.read_bytes() == artifacts["1"][4]
